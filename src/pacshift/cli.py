@@ -47,66 +47,99 @@ class DataError(Exception):
     pass
 
 
+def _parse_rows(lines) -> np.ndarray:
+    """Parse comma-separated numeric lines into a 2-D float array."""
+    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, dtype=float, ndmin=2)
+
+
+def _bad_labels(labels: np.ndarray, k: int) -> np.ndarray:
+    """Mask of label cells that are not integers in [0, k)."""
+    return ~((labels == np.floor(labels)) & (labels >= 0) & (labels < k))
+
+
+def _first_bad_line(path: str, data, width: int, k: int, labeled: bool) -> DataError:
+    """Re-check data lines one at a time and describe the first bad one.
+
+    Only runs after the bulk parse has failed, so error messages can name
+    the physical line.
+    """
+    for lineno, line in data:
+        where = f"{path}:{lineno}"
+        got = len(next(csv.reader([line])))
+        if got != width:
+            return DataError(f"{where}: expected {width} cells, got {got}")
+        try:
+            row = _parse_rows([line])
+        except ValueError:
+            return DataError(f"{where}: non-numeric cell")
+        if labeled and _bad_labels(row[:, 0], k).any():
+            return DataError(f"{where}: label out of range")
+        if line.count('"') % 2:
+            # A bulk parse carries an open quote over into the next line.
+            return DataError(f"{where}: unterminated quote")
+    return DataError(f"{path}: malformed score rows")
+
+
 def read_scores(path: str) -> ScoreTable:
     """Read a score table from CSV.
 
     Header is either ``label,s0,...,s{K-1}`` (labeled) or ``s0,...,s{K-1}``
-    (unlabeled); labels are 0-based integers.  Comment lines starting with
-    '#' are skipped; row order is preserved.
+    (unlabeled); labels are 0-based integers.  Empty lines and lines
+    starting with '#' are skipped; row order is preserved.  Errors name the
+    physical line number.  Data lines are parsed in one pass with NumPy's
+    float grammar: a cell it accepts gets the value ``float()`` gives it,
+    bit for bit, but ``_`` digit separators are rejected.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    kept = [(n, line) for n, line in enumerate(lines, start=1) if line and line[0] != "#"]
+    if not kept:
         raise DataError(f"{path}: empty score file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in next(csv.reader([kept[0][1]]))]
     labeled = header[0] == "label"
     score_cols = header[1:] if labeled else header
     if score_cols != [f"s{i}" for i in range(len(score_cols))] or len(score_cols) < 2:
         raise DataError(f"{path}: bad header {header!r}")
     k = len(score_cols)
-    labels = [] if labeled else None
-    scores = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-        try:
-            vals = [float(c) for c in row]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: non-numeric cell") from exc
-        if labeled:
-            lab = vals[0]
-            if lab != int(lab) or not 0 <= int(lab) < k:
-                raise DataError(f"{path}:{lineno}: label out of range")
-            labels.append(int(lab))
-            vals = vals[1:]
-        scores.append(vals)
-    if not scores:
+    data = kept[1:]
+    if not data:
         raise DataError(f"{path}: no data rows")
     try:
-        return ScoreTable(
-            scores=np.array(scores), labels=np.array(labels) if labeled else None
-        )
+        cells = _parse_rows([line for _, line in data])
+    except ValueError:
+        cells = None
+    if cells is None or cells.shape != (len(data), len(header)):
+        raise _first_bad_line(path, data, len(header), k, labeled)
+    labels = None
+    if labeled:
+        bad = np.flatnonzero(_bad_labels(cells[:, 0], k))
+        if bad.size:
+            raise DataError(f"{path}:{data[bad[0]][0]}: label out of range")
+        labels = cells[:, 0].astype(int)
+        cells = cells[:, 1:]
+    try:
+        return ScoreTable(scores=cells, labels=labels)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def write_scores(path: str, table: ScoreTable):
-    """Write a score table as versioned CSV (inverse of read_scores)."""
+    """Write a score table as versioned CSV (inverse of read_scores).
+
+    Rows end in ``\\r\\n`` and cells are ``repr`` of the float, so the file
+    is byte-identical to one written by ``csv.writer``.
+    """
+    head = [f"s{i}" for i in range(table.k)]
+    rows = (",".join(map(repr, row.tolist())) for row in table.scores)
+    if table.is_labeled:
+        head.insert(0, "label")
+        rows = (f"{lab},{row}" for lab, row in zip(table.labels.tolist(), rows))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(FORMAT_TAG + "\n")
-        writer = csv.writer(fh)
-        cols = [f"s{i}" for i in range(table.k)]
-        if table.is_labeled:
-            writer.writerow(["label"] + cols)
-            for lab, row in zip(table.labels, table.scores):
-                writer.writerow([int(lab)] + [repr(float(x)) for x in row])
-        else:
-            writer.writerow(cols)
-            for row in table.scores:
-                writer.writerow([repr(float(x)) for x in row])
+        fh.write(f"{FORMAT_TAG}\n{','.join(head)}\r\n")
+        fh.writelines(f"{row}\r\n" for row in rows)
 
 
 def read_scenario(path: str) -> tuple[ShiftSpec, SyntheticModel]:

@@ -33,6 +33,9 @@ class ScoreTable:
                 raise ValueError("labels must be a vector matching the row count")
             if self.n > 0 and (self.labels.min() < 0 or self.labels.max() >= self.k):
                 raise ValueError("labels out of range")
+            # A NaN or infinite true-label score would count as covered.
+            if not np.isfinite(self.true_scores()).all():
+                raise ValueError("true-label scores must be finite")
 
     @property
     def n(self) -> int:

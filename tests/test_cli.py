@@ -94,6 +94,13 @@ class TestScoreRoundTrip:
         with pytest.raises(DataError, match=":3"):
             read_scores(str(p))
 
+    def test_tagged_file_reports_physical_line(self, tmp_path):
+        # The format tag and a blank line come before the ragged row on line 5.
+        p = tmp_path / "r.csv"
+        p.write_text(f"{FORMAT_TAG}\ns0,s1\n0.5,0.5\n\n0.5\n")
+        with pytest.raises(DataError, match=r"r\.csv:5: expected 2 cells, got 1"):
+            read_scores(str(p))
+
     def test_non_numeric_cell(self, tmp_path):
         p = tmp_path / "n.csv"
         p.write_text("s0,s1\n0.5,oops\n")
@@ -169,6 +176,19 @@ class TestCalibrateCommand:
         code = main(["calibrate", "--epsilon", "0.2", "--delta", "0.05",
                      "--source", src, "--target", tgt])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_true_label_score_is_data_error(self, tmp_path, capsys, bad):
+        src, tgt = self._fixture(tmp_path)
+        lines = open(src).read().splitlines()
+        label, *cells = lines[2].split(",")  # first row after tag and header
+        cells[int(label)] = bad
+        lines[2] = ",".join([label] + cells)
+        open(src, "w").write("\n".join(lines) + "\n")
+        code = main(["calibrate", "--epsilon", "0.2", "--delta", "0.05",
+                     "--source", src, "--target", tgt])
+        assert code == EXIT_DATA
+        assert "true-label scores must be finite" in capsys.readouterr().err
 
     def test_abort_exit_code(self, tmp_path):
         # Source whose classifier never predicts class 1: singular confusion.

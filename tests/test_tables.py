@@ -1,0 +1,29 @@
+"""Tests for ScoreTable validation."""
+
+import numpy as np
+import pytest
+
+from pacshift import ScoreTable
+
+
+def table(scores, labels=None):
+    return ScoreTable(scores=np.array(scores, dtype=float), labels=labels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_true_label_score_rejected(bad):
+    with pytest.raises(ValueError, match="true-label scores must be finite"):
+        table([[0.5, 0.5], [0.2, bad]], labels=[0, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_score_off_the_true_label_allowed(bad):
+    t = table([[0.5, bad], [bad, 0.8]], labels=[0, 1])
+    assert np.array_equal(t.true_scores(), [0.5, 0.8])
+    assert not table([[0.5, bad]]).is_labeled
+
+
+def test_subset_with_non_finite_off_label_scores():
+    t = table([[0.5, np.nan], [0.1, 0.9], [np.inf, 0.3]], labels=[0, 1, 1])
+    assert np.array_equal(t.subset([2, 0]).true_scores(), [0.3, 0.5])
+    assert t.subset(np.array([], dtype=int)).n == 0
