@@ -7,16 +7,8 @@ propagating those intervals through Gaussian elimination to box the
 importance weights, and calibrating a worst-case threshold over that box.
 """
 
-from .binomial import NO_FEASIBLE_K, ConfInterval, RiskParams, binom_cdf, binom_k, cp_interval
-from .intervals import (
-    RELAXED,
-    STRICT,
-    Aborted,
-    IntervalMatrix,
-    IntervalVector,
-    WeightBox,
-    interval_gauss_elim,
-)
+from .binomial import ConfInterval, RiskParams, binom_cdf, binom_k, cp_interval
+from .intervals import Aborted, IntervalMatrix, IntervalVector, WeightBox, interval_gauss_elim
 from .predsets import (
     AcceptanceRandomness,
     ThresholdResult,
@@ -46,14 +38,11 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NO_FEASIBLE_K",
     "ConfInterval",
     "RiskParams",
     "binom_cdf",
     "binom_k",
     "cp_interval",
-    "RELAXED",
-    "STRICT",
     "Aborted",
     "IntervalMatrix",
     "IntervalVector",

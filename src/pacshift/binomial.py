@@ -7,23 +7,6 @@ from dataclasses import dataclass
 from scipy import special
 
 
-class _NoFeasibleK:
-    """Sentinel: no k satisfies F(k; m, eps) <= delta, not even k = 0."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NO_FEASIBLE_K"
-
-
-NO_FEASIBLE_K = _NoFeasibleK()
-
-
 @dataclass(frozen=True)
 class RiskParams:
     """Error budget epsilon and failure budget delta, both in (0, 1)."""
@@ -77,16 +60,16 @@ def binom_cdf(k: int, m: int, eps: float) -> float:
     return float(special.betainc(m - k, k + 1, 1.0 - eps))
 
 
-def binom_k(m: int, rp: RiskParams):
-    """Largest k with F(k; m, epsilon) <= delta, or NO_FEASIBLE_K.
+def binom_k(m: int, rp: RiskParams) -> int:
+    """Largest k with F(k; m, epsilon) <= delta, or -1 when no k qualifies.
 
-    With m = 0 the CDF at 0 is 1 > delta, so the result is NO_FEASIBLE_K;
-    callers map that to a full prediction set.
+    With m = 0 the CDF at 0 is 1 > delta, so the result is -1; callers map
+    that to a full prediction set.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m == 0 or binom_cdf(0, m, rp.epsilon) > rp.delta:
-        return NO_FEASIBLE_K
+        return -1
     # Exponential search for an infeasible upper end, then binary search.
     lo = 0
     hi = 1

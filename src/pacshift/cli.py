@@ -25,7 +25,7 @@ import numpy as np
 
 from .binomial import RiskParams
 from .harness import METHODS, aggregate, run_trials
-from .intervals import RELAXED, STRICT, Aborted
+from .intervals import Aborted
 from .predsets import CALIBRATED, AcceptanceRandomness, psw_threshold
 from .shift_sim import ShiftSpec, SyntheticModel
 from .tables import ScoreTable
@@ -208,14 +208,13 @@ def cmd_calibrate(args) -> int:
 
     K = src.k
     box_budget, calib_delta = delta_split(K, rp.delta)
-    box = weight_box(src, tgt, box_budget, mode=args.mode)
+    box = weight_box(src, tgt, box_budget)
     report = {
         "format": FORMAT_TAG.lstrip("# "),
         "epsilon": rp.epsilon,
         "delta": rp.delta,
         "per_interval_delta": box_budget / (K * (K + 1)),
         "calibration_delta": calib_delta,
-        "mode": args.mode,
         "seed": args.seed,
     }
     if isinstance(box, Aborted):
@@ -254,7 +253,7 @@ def cmd_experiment(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r} (choose from {METHODS})")
-    reports = run_trials(spec, model, methods, rp, args.trials, args.seed, mode=args.mode)
+    reports = run_trials(spec, model, methods, rp, args.trials, args.seed)
     summary = aggregate(reports, rp.epsilon)
 
     out = args.out or "."
@@ -323,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--epsilon", type=float, required=True, help="error budget in (0,1)")
     common.add_argument("--delta", type=float, required=True, help="failure budget in (0,1)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--mode", choices=[STRICT, RELAXED], default=RELAXED)
     common.add_argument("--out", default=None, help="output path (file or directory)")
 
     cal = sub.add_parser("calibrate", parents=[common], help="calibrate from score files")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binomial import RiskParams
-from .intervals import RELAXED, Aborted, WeightBox
+from .intervals import WeightBox
 from .predsets import (
     ABORTED,
     AcceptanceRandomness,
@@ -85,7 +85,6 @@ def run_trials(
     rp: RiskParams,
     trials: int,
     seed: int,
-    mode: str = RELAXED,
 ) -> list[TrialReport]:
     """Run `trials` paired repetitions of every requested method."""
     if trials < 1:
@@ -108,7 +107,7 @@ def run_trials(
 
         box = None
         if "PS-W" in methods or "PS-C" in methods:
-            box = weight_box(src, tgt, box_budget, mode=mode)
+            box = weight_box(src, tgt, box_budget)
         pointw = None
         if "PS-R" in methods or "WCP" in methods:
             try:

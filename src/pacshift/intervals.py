@@ -2,18 +2,15 @@
 
 Propagates elementwise confidence intervals for a nonnegative coefficient
 matrix and right-hand side through the forward sweep and back-substitution
-of Gaussian elimination, so that the resulting box provably contains the
-exact solution whenever the inputs contain the true system.
+of Gaussian elimination, so that the resulting box (unless elimination
+aborts) provably contains every nonnegative solution of every system
+inside the input intervals.
 
-Two modes:
-
-* ``strict``  - the textbook update rules; aborts as soon as any
-  off-diagonal lower bound goes negative (or a diagonal / rhs lower bound
-  is nonpositive).  All intermediate bounds stay nonnegative, so plain
-  endpoint formulas are sound.
-* ``relaxed`` (default) - tolerates negative off-diagonal lower bounds by
-  taking min/max over all endpoint sign combinations of each product and
-  quotient.  Slightly wider intervals, far fewer spurious aborts.
+Off-diagonal lower bounds may go negative during the sweep, so each
+product and quotient takes the min/max over all endpoint combinations.
+Importance weights q(y)/p(y) are never negative, so back-substitution
+intersects each weight interval with [0, inf) as it computes it: weight
+lower bounds are >= 0, and the tighter intervals feed the rows above.
 
 No row pivoting: a nonpositive pivot lower bound is an abort, never a swap
 (interval bounds after a swap are not well defined here).
@@ -24,11 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-STRICT = "strict"
-RELAXED = "relaxed"
-_MODES = (STRICT, RELAXED)
-
 
 @dataclass
 class IntervalMatrix:
@@ -82,8 +74,8 @@ class IntervalVector:
 class WeightBox:
     """Per-label interval [lo_k, hi_k] around the importance weights.
 
-    Lower bounds may be negative; consumers clamp them to 0 when used as
-    sampling probabilities.  ``envelope_b`` is max_k hi_k, the common upper
+    Lower bounds from elimination are >= 0; ``clamped_lo`` also clips boxes
+    built by hand.  ``envelope_b`` is max_k hi_k, the common upper
     bound used for rejection sampling and the conservative risk inflation.
     """
 
@@ -122,8 +114,7 @@ class Aborted:
     reason: str
 
 
-def _check_positivity(c_lo, q_lo, mode, step):
-    k = c_lo.shape[0]
+def _check_positivity(c_lo, q_lo, step):
     diag = np.diag(c_lo)
     if np.any(diag <= 0):
         i = int(np.argmax(diag <= 0))
@@ -131,11 +122,6 @@ def _check_positivity(c_lo, q_lo, mode, step):
     if np.any(q_lo <= 0):
         i = int(np.argmax(q_lo <= 0))
         return Aborted(step, f"rhs lower bound q[{i}] <= 0")
-    if mode == STRICT:
-        off = c_lo - np.diag(diag)
-        if np.any(off < 0):
-            i, j = np.unravel_index(int(np.argmin(off)), (k, k))
-            return Aborted(step, f"off-diagonal lower bound c[{i},{j}] < 0")
     return None
 
 
@@ -156,99 +142,75 @@ def _prod_bounds(a_lo, a_hi, b_lo, b_hi):
     return cands.min(axis=0), cands.max(axis=0)
 
 
-def forward_sweep(c: IntervalMatrix, q: IntervalVector, mode: str = RELAXED):
+def forward_sweep(c: IntervalMatrix, q: IntervalVector):
     """Run the elimination phase; returns (c_lo, c_hi, q_lo, q_hi) or Aborted."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
     K = c.k
     c_lo, c_hi = c.lo.copy(), c.hi.copy()
     q_lo, q_hi = q.lo.copy(), q.hi.copy()
 
-    for t in range(K - 1):
-        bad = _check_positivity(c_lo, q_lo, mode, t)
+    for k in range(K - 1):
+        bad = _check_positivity(c_lo, q_lo, k)
         if bad is not None:
             return bad
-        k = t
         piv_lo, piv_hi = c_lo[k, k], c_hi[k, k]
         rows = slice(k + 1, K)
-        if mode == STRICT:
-            # All bounds nonnegative here, so endpoint formulas are exact.
-            sub_lo = np.outer(c_hi[rows, k], c_hi[k, rows]) / piv_lo
-            sub_hi = np.outer(c_lo[rows, k], c_lo[k, rows]) / piv_hi
-            new_c_lo = c_lo[rows, rows] - sub_lo
-            new_c_hi = c_hi[rows, rows] - sub_hi
-            qsub_lo = c_hi[rows, k] * q_hi[k] / piv_lo
-            qsub_hi = c_lo[rows, k] * q_lo[k] / piv_hi
-            new_q_lo = q_lo[rows] - qsub_lo
-            new_q_hi = q_hi[rows] - qsub_hi
-        else:
-            p_lo, p_hi = _prod_bounds(
-                c_lo[rows, k][:, None],
-                c_hi[rows, k][:, None],
-                c_lo[k, rows][None, :],
-                c_hi[k, rows][None, :],
-            )
-            r_lo, r_hi = _ratio_bounds(p_lo, p_hi, piv_lo, piv_hi)
-            new_c_lo = c_lo[rows, rows] - r_hi
-            new_c_hi = c_hi[rows, rows] - r_lo
-            qp_lo, qp_hi = _prod_bounds(c_lo[rows, k], c_hi[rows, k], q_lo[k], q_hi[k])
-            qr_lo, qr_hi = _ratio_bounds(qp_lo, qp_hi, piv_lo, piv_hi)
-            new_q_lo = q_lo[rows] - qr_hi
-            new_q_hi = q_hi[rows] - qr_lo
+        p_lo, p_hi = _prod_bounds(
+            c_lo[rows, k][:, None],
+            c_hi[rows, k][:, None],
+            c_lo[k, rows][None, :],
+            c_hi[k, rows][None, :],
+        )
+        r_lo, r_hi = _ratio_bounds(p_lo, p_hi, piv_lo, piv_hi)
+        qp_lo, qp_hi = _prod_bounds(c_lo[rows, k], c_hi[rows, k], q_lo[k], q_hi[k])
+        qr_lo, qr_hi = _ratio_bounds(qp_lo, qp_hi, piv_lo, piv_hi)
 
-        c_lo[rows, rows] = new_c_lo
-        c_hi[rows, rows] = new_c_hi
-        q_lo[rows] = new_q_lo
-        q_hi[rows] = new_q_hi
+        c_lo[rows, rows] -= r_hi
+        c_hi[rows, rows] -= r_lo
+        q_lo[rows] -= qr_hi
+        q_hi[rows] -= qr_lo
         # Exact elimination zeroes the pivot column below the diagonal.
         c_lo[rows, k] = 0.0
         c_hi[rows, k] = 0.0
 
-    bad = _check_positivity(c_lo, q_lo, mode, K - 1)
+    bad = _check_positivity(c_lo, q_lo, K - 1)
     if bad is not None:
         return bad
     return c_lo, c_hi, q_lo, q_hi
 
 
-def back_substitute(c_lo, c_hi, q_lo, q_hi, mode: str = RELAXED):
+def back_substitute(c_lo, c_hi, q_lo, q_hi):
     """Back-substitution on the eliminated interval system.
 
-    Relaxed mode uses sign-aware interval products and quotients so the
-    bounds stay valid even when earlier weight lower bounds went negative;
-    strict mode uses the plain endpoint formulas (valid there because all
-    intermediate bounds are nonnegative and weight intervals stay positive
-    in the regimes where strict mode survives the sweep).
+    Sign-aware interval products keep the bounds valid when eliminated
+    off-diagonal entries have negative lower bounds.  Each weight lower
+    bound is clamped at 0 as it is computed: the clamp drops only negative
+    weights, which no importance weight can be.
     """
     K = c_lo.shape[0]
     w_lo = np.zeros(K)
     w_hi = np.zeros(K)
     for i in range(K - 1, -1, -1):
         tail = slice(i + 1, K)
-        if mode == STRICT:
-            s_lo = float(c_lo[i, tail] @ w_lo[tail])
-            s_hi = float(c_hi[i, tail] @ w_hi[tail])
-            w_lo[i] = (q_lo[i] - s_hi) / c_hi[i, i]
-            w_hi[i] = (q_hi[i] - s_lo) / c_lo[i, i]
-        else:
-            t_lo, t_hi = _prod_bounds(c_lo[i, tail], c_hi[i, tail], w_lo[tail], w_hi[tail])
-            s_lo, s_hi = float(t_lo.sum()), float(t_hi.sum())
-            num_lo = q_lo[i] - s_hi
-            num_hi = q_hi[i] - s_lo
-            w_lo[i] = num_lo / (c_hi[i, i] if num_lo >= 0 else c_lo[i, i])
-            w_hi[i] = num_hi / (c_lo[i, i] if num_hi >= 0 else c_hi[i, i])
+        t_lo, t_hi = _prod_bounds(c_lo[i, tail], c_hi[i, tail], w_lo[tail], w_hi[tail])
+        num_lo = q_lo[i] - float(t_hi.sum())
+        num_hi = q_hi[i] - float(t_lo.sum())
+        w_lo[i] = max(num_lo, 0.0) / c_hi[i, i]
+        w_hi[i] = num_hi / (c_lo[i, i] if num_hi >= 0 else c_hi[i, i])
     return w_lo, w_hi
 
 
-def interval_gauss_elim(c: IntervalMatrix, q: IntervalVector, mode: str = RELAXED):
+def interval_gauss_elim(c: IntervalMatrix, q: IntervalVector):
     """Solve the interval system, returning a WeightBox or Aborted.
 
-    Guarantee: if the true (C, q) lie inside the input intervals and no
-    abort occurs, the exact solution C^-1 q lies in the returned box.
+    Guarantee: unless it aborts, the returned box contains every
+    nonnegative solution of a system inside the intervals.  In particular,
+    if the true (C, q) lie inside the input intervals and C^-1 q >= 0, as
+    importance weights are, C^-1 q lies in the box.
     """
-    swept = forward_sweep(c, q, mode)
+    swept = forward_sweep(c, q)
     if isinstance(swept, Aborted):
         return swept
-    w_lo, w_hi = back_substitute(*swept, mode=mode)
+    w_lo, w_hi = back_substitute(*swept)
     if np.any(w_hi <= 0):
         i = int(np.argmax(w_hi <= 0))
         return Aborted(c.k - 1, f"nonpositive weight upper bound w[{i}]")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binomial import NO_FEASIBLE_K, RiskParams, binom_k
+from .binomial import RiskParams, binom_k
 from .intervals import Aborted, WeightBox
 from .tables import ScoreTable
 
@@ -85,7 +85,7 @@ def ps_threshold(src: ScoreTable, rp: RiskParams) -> ThresholdResult:
     """
     scores = np.sort(src.true_scores())
     k = binom_k(src.n, rp)
-    if k is NO_FEASIBLE_K:
+    if k < 0:
         return full_set_result()
     return ThresholdResult(tau=float(scores[k]), status=CALIBRATED)
 
@@ -159,8 +159,7 @@ def psw_threshold(
     n_max = sum(int(acc[-1]) for acc, _ in per_label)
     kbin = np.empty(n_max + 1, dtype=np.int64)
     for n in range(n_max + 1):
-        res = binom_k(n, rp)
-        kbin[n] = -1 if res is NO_FEASIBLE_K else res
+        kbin[n] = binom_k(n, rp)
 
     def fails(tau: float) -> bool:
         # dp[N] = worst (max) total error count over patterns of total size N;

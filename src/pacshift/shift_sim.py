@@ -136,9 +136,3 @@ def sample_shifted(
     test = model.draw(spec.target_dist, spec.o, rng, labeled=True)
     return src, tgt, test
 
-
-def default_model(K: int, spacing: float = 2.0, dim: int = 1) -> SyntheticModel:
-    """Evenly spaced centers along the first axis; a reasonable starting scorer."""
-    centers = np.zeros((K, dim))
-    centers[:, 0] = spacing * np.arange(K)
-    return SyntheticModel(class_centers=centers)

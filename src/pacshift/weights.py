@@ -15,7 +15,6 @@ import numpy as np
 
 from .binomial import cp_interval
 from .intervals import (
-    RELAXED,
     Aborted,
     IntervalMatrix,
     IntervalVector,
@@ -128,35 +127,17 @@ def cp_bounds(
 def bbse_point_weights(conf: ConfusionEstimate, qh: LabelDistEstimate) -> np.ndarray:
     """Plug-in weight estimate: solve c_hat w = q_hat, clamping negatives to 0.
 
-    Gaussian elimination with partial pivoting; raises SingularMatrix when a
-    pivot magnitude falls below 1e-12.
+    Raises SingularMatrix unless c_hat's condition number is below 1e12.
     """
-    a = conf.rates().copy()
-    b = qh.rates().copy()
-    K = conf.k
-    perm = np.arange(K)
-    for k in range(K - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < 1e-12:
-            raise SingularMatrix(f"pivot {k} below 1e-12")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1 :] -= factors * b[k]
-    if abs(a[K - 1, K - 1]) < 1e-12:
-        raise SingularMatrix(f"pivot {K - 1} below 1e-12")
-    w = np.zeros(K)
-    for i in range(K - 1, -1, -1):
-        w[i] = (b[i] - a[i, i + 1 :] @ w[i + 1 :]) / a[i, i]
-    return np.clip(w, 0.0, None)
+    a = conf.rates()
+    # An empty source sample gives NaN rates, on which the SVD fails.
+    cond = np.linalg.cond(a) if np.all(np.isfinite(a)) else np.inf
+    if not cond < 1e12:
+        raise SingularMatrix(f"confusion matrix condition number {cond:.3g} >= 1e12")
+    return np.clip(np.linalg.solve(a, qh.rates()), 0.0, None)
 
 
-def weight_box(
-    src: ScoreTable, tgt: ScoreTable, delta_total: float, mode: str = RELAXED
-) -> WeightBox | Aborted:
+def weight_box(src: ScoreTable, tgt: ScoreTable, delta_total: float) -> WeightBox | Aborted:
     """Guaranteed weight box from raw calibration tables.
 
     Composes count estimation, CP bounding at budget delta_total, and
@@ -167,4 +148,4 @@ def weight_box(
     conf = estimate_confusion(src)
     qh = estimate_qhat(tgt)
     c_iv, q_iv = cp_bounds(conf, qh, delta_total)
-    return interval_gauss_elim(c_iv, q_iv, mode=mode)
+    return interval_gauss_elim(c_iv, q_iv)

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pacshift import NO_FEASIBLE_K, ConfInterval, RiskParams, binom_cdf, binom_k, cp_interval
+from pacshift import ConfInterval, RiskParams, binom_cdf, binom_k, cp_interval
 
 
 def cdf_oracle(k: int, m: int, eps: float) -> float:
@@ -96,10 +96,10 @@ class TestBinomK:
         assert binom_k(1, RiskParams(epsilon=0.5, delta=0.6)) == 0
 
     def test_no_feasible_k(self):
-        assert binom_k(10, RiskParams(epsilon=0.01, delta=1e-10)) is NO_FEASIBLE_K
+        assert binom_k(10, RiskParams(epsilon=0.01, delta=1e-10)) == -1
 
     def test_empty_sample(self):
-        assert binom_k(0, RiskParams(epsilon=0.1, delta=0.5)) is NO_FEASIBLE_K
+        assert binom_k(0, RiskParams(epsilon=0.1, delta=0.5)) == -1
 
     def test_reference_case_matches_scan(self):
         rp = RiskParams(epsilon=0.1, delta=5e-4)
@@ -114,7 +114,7 @@ class TestBinomK:
                 delta=float(rng.uniform(1e-6, 0.2)),
             )
             k = binom_k(m, rp)
-            if k is NO_FEASIBLE_K:
+            if k == -1:
                 assert binom_cdf(0, m, rp.epsilon) > rp.delta
             else:
                 assert binom_cdf(k, m, rp.epsilon) <= rp.delta

@@ -1,17 +1,18 @@
 """Tests for interval Gaussian elimination.
 
 The load-bearing property is containment: whenever the true system lies
-inside the input intervals and elimination does not abort, the exact
-solution must lie in the output box.  Oracles here are plain dense solves
-of systems sampled inside the intervals.
+inside the input intervals and elimination does not abort, every
+nonnegative exact solution must lie in the output box.  Oracles here are
+plain dense solves of systems sampled inside the intervals, and the
+textbook K=2 update rules as a reference for tightness.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacshift import (
-    RELAXED,
-    STRICT,
     Aborted,
     IntervalMatrix,
     IntervalVector,
@@ -37,11 +38,17 @@ def widen(rng, c, q, scale):
 
 
 def k2_strict_oracle(c_lo, c_hi, q_lo, q_hi):
-    """Independent step-by-step application of the K=2 strict update rules."""
+    """Independent step-by-step application of the K=2 strict update rules.
+
+    For nonnegative inputs these plain endpoint formulas are sound while
+    every intermediate lower bound stays positive; returns None otherwise.
+    """
     t22_lo = c_lo[1, 1] - c_hi[1, 0] * c_hi[0, 1] / c_lo[0, 0]
     t22_hi = c_hi[1, 1] - c_lo[1, 0] * c_lo[0, 1] / c_hi[0, 0]
     u2_lo = q_lo[1] - c_hi[1, 0] * q_hi[0] / c_lo[0, 0]
     u2_hi = q_hi[1] - c_lo[1, 0] * q_lo[0] / c_hi[0, 0]
+    if t22_lo <= 0 or u2_lo <= 0:
+        return None
     w2_lo, w2_hi = u2_lo / t22_hi, u2_hi / t22_lo
     w1_lo = (q_lo[0] - c_hi[0, 1] * w2_hi) / c_hi[0, 0]
     w1_hi = (q_hi[0] - c_lo[0, 1] * w2_lo) / c_lo[0, 0]
@@ -55,41 +62,62 @@ PINNED_Q_HI = np.array([0.45, 0.65])
 
 
 class TestPinnedExample:
-    def test_strict_mode_matches_reference_values(self):
+    def test_matches_reference_values(self):
+        # The strict rules give lo[0] = -0.1492; the clamp raises it to 0.
         box = interval_gauss_elim(
             IntervalMatrix(PINNED_C_LO, PINNED_C_HI),
             IntervalVector(PINNED_Q_LO, PINNED_Q_HI),
-            mode=STRICT,
         )
         assert isinstance(box, WeightBox)
-        assert box.lo[1] == pytest.approx(1.2343, abs=1e-3)
-        assert box.hi[1] == pytest.approx(2.9799, abs=1e-3)
-        assert box.lo[0] == pytest.approx(-0.1492, abs=1e-3)
-        assert box.hi[0] == pytest.approx(0.7060, abs=1e-3)
+        np.testing.assert_allclose(box.lo, [0.0, 1.2343], atol=1e-3)
+        np.testing.assert_allclose(box.hi, [0.7060, 2.9799], atol=1e-3)
+        assert box.lo[0] == 0.0
 
-    def test_strict_mode_matches_step_by_step_oracle(self):
-        box = interval_gauss_elim(
-            IntervalMatrix(PINNED_C_LO, PINNED_C_HI),
-            IntervalVector(PINNED_Q_LO, PINNED_Q_HI),
-            mode=STRICT,
-        )
-        lo, hi = k2_strict_oracle(PINNED_C_LO, PINNED_C_HI, PINNED_Q_LO, PINNED_Q_HI)
-        np.testing.assert_allclose(box.lo, lo, atol=1e-12)
-        np.testing.assert_allclose(box.hi, hi, atol=1e-12)
+    def test_no_looser_than_strict_oracle(self):
+        rng = np.random.default_rng(8)
+        cases = [(PINNED_C_LO, PINNED_C_HI, PINNED_Q_LO, PINNED_Q_HI)]
+        for _ in range(300):
+            c, q, _ = random_dominant_system(rng, 2)
+            cm, qv = widen(rng, c, q, scale=rng.uniform(0.0, 0.3))
+            cases.append((cm.lo, cm.hi, qv.lo, qv.hi))
+        compared = 0
+        for c_lo, c_hi, q_lo, q_hi in cases:
+            oracle = k2_strict_oracle(c_lo, c_hi, q_lo, q_hi)
+            if oracle is None or np.any(oracle[1] <= 0):
+                continue
+            box = interval_gauss_elim(IntervalMatrix(c_lo, c_hi), IntervalVector(q_lo, q_hi))
+            assert isinstance(box, WeightBox)
+            assert np.all(box.hi <= oracle[1] + 1e-12)
+            assert np.all(box.lo >= np.maximum(oracle[0], 0.0) - 1e-12)
+            compared += 1
+        assert compared >= 100
 
     def test_pinned_example_contains_interior_solutions(self):
         rng = np.random.default_rng(4)
-        for mode in (STRICT, RELAXED):
-            box = interval_gauss_elim(
-                IntervalMatrix(PINNED_C_LO, PINNED_C_HI),
-                IntervalVector(PINNED_Q_LO, PINNED_Q_HI),
-                mode=mode,
-            )
-            for _ in range(200):
-                c = rng.uniform(PINNED_C_LO, PINNED_C_HI)
-                q = rng.uniform(PINNED_Q_LO, PINNED_Q_HI)
-                w = np.linalg.solve(c, q)
-                assert np.all(box.lo <= w + 1e-9) and np.all(w <= box.hi + 1e-9)
+        box = interval_gauss_elim(
+            IntervalMatrix(PINNED_C_LO, PINNED_C_HI),
+            IntervalVector(PINNED_Q_LO, PINNED_Q_HI),
+        )
+        for _ in range(200):
+            c = rng.uniform(PINNED_C_LO, PINNED_C_HI)
+            q = rng.uniform(PINNED_Q_LO, PINNED_Q_HI)
+            w = np.linalg.solve(c, q)
+            if np.any(w < 0):
+                continue
+            assert np.all(box.lo <= w + 1e-9) and np.all(w <= box.hi + 1e-9)
+
+    def test_clamp_tightens_upper_bounds_above(self):
+        # Without the clamp, lo[1] is -0.700 and hi[0] is 1.785.  With it,
+        # w[1] >= 0, so row 0 subtracts at least c_lo[0,1] * 0 + c_lo[0,2] * lo[2].
+        c_lo = np.array([[0.73, 0.15, 0.02], [0.0, 0.38, 0.0], [0.0, 0.13, 0.89]])
+        c_hi = np.array([[0.81, 0.33, 0.12], [0.06, 0.5, 0.15], [0.12, 0.22, 1.03]])
+        q_lo = np.array([1.0, 0.22, 1.82])
+        q_hi = np.array([1.1, 0.32, 1.97])
+        box = interval_gauss_elim(IntervalMatrix(c_lo, c_hi), IntervalVector(q_lo, q_hi))
+        assert isinstance(box, WeightBox)
+        assert box.lo[1] == 0.0
+        assert box.hi[0] == pytest.approx((q_hi[0] - c_lo[0, 2] * box.lo[2]) / c_lo[0, 0])
+        assert box.hi[0] < 1.785
 
 
 class TestDegenerate:
@@ -100,46 +128,57 @@ class TestDegenerate:
         np.testing.assert_allclose(box.lo, [0.3, 0.7], atol=1e-14)
         np.testing.assert_allclose(box.hi, [0.3, 0.7], atol=1e-14)
 
-    @pytest.mark.parametrize("mode", [STRICT, RELAXED])
-    def test_zero_width_matches_exact_solve(self, mode):
-        # Strict mode may abort when an eliminated entry's lower bound goes
-        # negative; those instances are skipped but must not dominate.
+    def test_zero_width_matches_exact_solve(self):
         rng = np.random.default_rng(5)
-        solved = 0
         for _ in range(50):
             k = int(rng.integers(2, 6))
             c, q, w = random_dominant_system(rng, k)
-            box = interval_gauss_elim(
-                IntervalMatrix.exact(c), IntervalVector.exact(q), mode=mode
-            )
-            if mode == STRICT and isinstance(box, Aborted):
-                continue
-            solved += 1
+            box = interval_gauss_elim(IntervalMatrix.exact(c), IntervalVector.exact(q))
             assert isinstance(box, WeightBox)
             np.testing.assert_allclose(box.lo, w, atol=1e-8)
             np.testing.assert_allclose(box.hi, w, atol=1e-8)
-        assert solved >= 20
 
 
 class TestContainment:
-    @pytest.mark.parametrize("mode", [STRICT, RELAXED])
-    def test_interior_solutions_contained(self, mode):
+    def test_interior_solutions_contained(self):
         rng = np.random.default_rng(6)
         boxes = 0
         for _ in range(150):
             k = int(rng.integers(2, 6))
             c, q, _ = random_dominant_system(rng, k)
             cm, qv = widen(rng, c, q, scale=0.03)
-            box = interval_gauss_elim(cm, qv, mode=mode)
+            box = interval_gauss_elim(cm, qv)
             if isinstance(box, Aborted):
                 continue
             boxes += 1
+            assert np.all(box.lo >= 0)
             for _ in range(20):
                 cs = rng.uniform(cm.lo, cm.hi)
                 qs = rng.uniform(qv.lo, qv.hi)
                 w = np.linalg.solve(cs, qs)
                 assert np.all(box.lo <= w + 1e-9) and np.all(w <= box.hi + 1e-9)
         assert boxes >= 50  # the abort path must not dominate this regime
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 0.1))
+    def test_nonnegative_interior_solutions_contained(self, k, seed, scale):
+        # Interior solves with a negative component may fall outside the
+        # box; importance weights never have one.
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(0.0, 0.15, size=(k, k))
+        c[np.diag_indices(k)] = rng.uniform(0.5, 1.0, size=k)
+        w = rng.uniform(0.01, 3.0, size=k)
+        cm, qv = widen(rng, c, c @ w, scale)
+        box = interval_gauss_elim(cm, qv)
+        if isinstance(box, Aborted):
+            return
+        assert np.all(box.lo >= 0)
+        cs = rng.uniform(cm.lo[None], cm.hi[None], size=(200, k, k))
+        qs = rng.uniform(qv.lo[None], qv.hi[None], size=(200, k))
+        ws = np.linalg.solve(cs, qs[:, :, None])[:, :, 0]
+        ws = ws[np.all(ws >= 0, axis=1)]
+        tol = 1e-9 * np.maximum(1.0, np.abs(ws))
+        assert np.all((box.lo - tol <= ws) & (ws <= box.hi + tol))
 
     def test_nested_inputs_give_nested_boxes(self):
         rng = np.random.default_rng(7)
@@ -152,11 +191,12 @@ class TestContainment:
                 IntervalMatrix(narrow[0].lo - 0.01, narrow[0].hi + 0.01),
                 IntervalVector(np.maximum(narrow[1].lo - 0.01, 1e-9), narrow[1].hi + 0.01),
             )
-            bn = interval_gauss_elim(*narrow, mode=RELAXED)
-            bw = interval_gauss_elim(*wide, mode=RELAXED)
+            bn = interval_gauss_elim(*narrow)
+            bw = interval_gauss_elim(*wide)
             if isinstance(bn, Aborted) or isinstance(bw, Aborted):
                 continue
             checked += 1
+            assert np.all(bn.lo >= 0) and np.all(bw.lo >= 0)
             assert np.all(bw.lo <= bn.lo + 1e-9) and np.all(bn.hi <= bw.hi + 1e-9)
         assert checked >= 40
 
@@ -173,20 +213,6 @@ class TestAborts:
         out = interval_gauss_elim(c, IntervalVector(np.array([0.0, 0.5]), np.array([0.5, 0.5])))
         assert isinstance(out, Aborted)
         assert "rhs" in out.reason
-
-    def test_strict_aborts_on_negative_offdiagonal_but_relaxed_survives(self):
-        c = IntervalMatrix(
-            np.array([[0.6, -0.02], [0.01, 0.5]]), np.array([[0.7, 0.1], [0.1, 0.6]])
-        )
-        q = IntervalVector(np.array([0.3, 0.4]), np.array([0.5, 0.6]))
-        assert isinstance(interval_gauss_elim(c, q, mode=STRICT), Aborted)
-        assert isinstance(interval_gauss_elim(c, q, mode=RELAXED), WeightBox)
-
-    def test_unknown_mode_raises(self):
-        c = IntervalMatrix.exact(np.eye(2))
-        q = IntervalVector.exact([0.5, 0.5])
-        with pytest.raises(ValueError):
-            interval_gauss_elim(c, q, mode="loose")
 
 
 class TestWeightBox:

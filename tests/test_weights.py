@@ -172,6 +172,23 @@ class TestBbsePointWeights:
         with pytest.raises(SingularMatrix):
             bbse_point_weights(conf, qh)
 
+    def test_empty_source_raises(self):
+        conf = ConfusionEstimate(counts=np.zeros((2, 2), dtype=int), m=0)
+        qh = LabelDistEstimate(counts=np.array([60, 40]), n=100)
+        with np.errstate(invalid="ignore"), pytest.raises(SingularMatrix):
+            bbse_point_weights(conf, qh)
+
+    def test_ill_conditioned_raises(self):
+        # Full rank in floating point, but cond(c_hat) ~ 4e13 > 1e12.
+        big = 10**13
+        counts = np.array([[big, big], [big, big + 1]])
+        conf = ConfusionEstimate(counts=counts, m=int(counts.sum()))
+        assert np.linalg.matrix_rank(conf.rates()) == 2
+        assert np.linalg.cond(conf.rates()) > 1e12
+        qh = LabelDistEstimate(counts=np.array([60, 40]), n=100)
+        with pytest.raises(SingularMatrix):
+            bbse_point_weights(conf, qh)
+
 
 class TestWeightBox:
     def test_zero_width_collapses_to_point_solve(self):
