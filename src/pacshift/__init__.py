@@ -8,7 +8,7 @@ importance weights, and calibrating a worst-case threshold over that box.
 """
 
 from .binomial import ConfInterval, RiskParams, binom_cdf, binom_k, cp_interval
-from .intervals import Aborted, IntervalMatrix, IntervalVector, WeightBox, interval_gauss_elim
+from .intervals import Aborted, Interval, WeightBox, interval_gauss_elim
 from .predsets import (
     AcceptanceRandomness,
     ThresholdResult,
@@ -24,8 +24,6 @@ from .harness import METHODS, TrialReport, aggregate, run_trials
 from .shift_sim import ShiftSpec, SyntheticModel, sample_shifted, true_weights, tweak_one
 from .tables import ScoreTable
 from .weights import (
-    ConfusionEstimate,
-    LabelDistEstimate,
     SingularMatrix,
     bbse_point_weights,
     cp_bounds,
@@ -44,8 +42,7 @@ __all__ = [
     "binom_k",
     "cp_interval",
     "Aborted",
-    "IntervalMatrix",
-    "IntervalVector",
+    "Interval",
     "WeightBox",
     "interval_gauss_elim",
     "AcceptanceRandomness",
@@ -67,8 +64,6 @@ __all__ = [
     "true_weights",
     "tweak_one",
     "ScoreTable",
-    "ConfusionEstimate",
-    "LabelDistEstimate",
     "SingularMatrix",
     "bbse_point_weights",
     "cp_bounds",

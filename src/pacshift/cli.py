@@ -9,16 +9,18 @@ Two subcommands:
   scenario spec file and write JSON-lines reports plus a CSV summary.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 solver abort.
-All emitted files start with the version line ``# pacshift-v1``.
+Emitted CSV and JSON-lines files start with the version line
+``# pacshift-v1``; the ``calibrate`` JSON report carries it as its
+``"format"`` key.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -187,6 +189,8 @@ def read_scenario(path: str) -> tuple[ShiftSpec, SyntheticModel]:
         raise ConfigError(f"{path}: {exc}") from exc
     if model.k != spec.k:
         raise ConfigError(f"{path}: centers imply K={model.k}, distributions K={spec.k}")
+    if 0 in (spec.m, spec.n, spec.o):
+        raise ConfigError(f"{path}: m, n and o must be >= 1")
     return spec, model
 
 
@@ -250,15 +254,10 @@ def cmd_experiment(args) -> int:
     rp = _risk_params(args)
     spec, model = read_scenario(args.scenario)
     methods = args.method or list(METHODS)
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r} (choose from {METHODS})")
     reports = run_trials(spec, model, methods, rp, args.trials, args.seed)
     summary = aggregate(reports, rp.epsilon)
 
     out = args.out or "."
-    import os
-
     os.makedirs(out, exist_ok=True)
     jsonl = os.path.join(out, "reports.jsonl")
     with open(jsonl, "w", encoding="utf-8") as fh:

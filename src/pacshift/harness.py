@@ -18,7 +18,6 @@ from .intervals import WeightBox
 from .predsets import (
     ABORTED,
     AcceptanceRandomness,
-    ThresholdResult,
     aborted_result,
     evaluate_set,
     psc_threshold,
@@ -89,6 +88,8 @@ def run_trials(
     """Run `trials` paired repetitions of every requested method."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if 0 in (spec.m, spec.n, spec.o):
+        raise ValueError("sample sizes m, n and o must be >= 1")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")

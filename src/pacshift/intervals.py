@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+
 @dataclass
-class IntervalMatrix:
-    """Elementwise interval [lo, hi] around a K x K matrix."""
+class Interval:
+    """Elementwise interval [lo, hi] around an array of any shape."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -32,42 +33,15 @@ class IntervalMatrix:
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
-        if self.lo.shape != self.hi.shape or self.lo.ndim != 2:
-            raise ValueError("lo/hi must be matrices of the same shape")
-        if self.lo.shape[0] != self.lo.shape[1] or self.lo.shape[0] < 2:
-            raise ValueError("matrix must be square with K >= 2")
+        if self.lo.shape != self.hi.shape:
+            raise ValueError("lo and hi must have the same shape")
         if np.any(self.lo > self.hi):
             raise ValueError("lo must be <= hi elementwise")
 
-    @property
-    def k(self) -> int:
-        return self.lo.shape[0]
-
     @classmethod
-    def exact(cls, a) -> "IntervalMatrix":
+    def exact(cls, a) -> "Interval":
         a = np.asarray(a, dtype=float)
         return cls(a.copy(), a.copy())
-
-
-@dataclass
-class IntervalVector:
-    """Elementwise interval [lo, hi] around a K-vector."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-        if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
-            raise ValueError("lo/hi must be vectors of the same shape")
-        if np.any(self.lo > self.hi):
-            raise ValueError("lo must be <= hi elementwise")
-
-    @classmethod
-    def exact(cls, v) -> "IntervalVector":
-        v = np.asarray(v, dtype=float)
-        return cls(v.copy(), v.copy())
 
 
 @dataclass
@@ -81,7 +55,6 @@ class WeightBox:
 
     lo: np.ndarray
     hi: np.ndarray
-    envelope_b: float
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float)
@@ -90,13 +63,10 @@ class WeightBox:
             raise ValueError("lo must be <= hi elementwise")
         if np.any(self.hi <= 0):
             raise ValueError("weight upper bounds must be positive")
-        if abs(self.envelope_b - float(self.hi.max())) > 1e-12:
-            raise ValueError("envelope_b must equal max(hi)")
 
-    @classmethod
-    def from_bounds(cls, lo, hi) -> "WeightBox":
-        hi = np.asarray(hi, dtype=float)
-        return cls(lo=np.asarray(lo, dtype=float), hi=hi, envelope_b=float(hi.max()))
+    @property
+    def envelope_b(self) -> float:
+        return float(self.hi.max())
 
     def contains(self, w) -> bool:
         w = np.asarray(w, dtype=float)
@@ -142,9 +112,16 @@ def _prod_bounds(a_lo, a_hi, b_lo, b_hi):
     return cands.min(axis=0), cands.max(axis=0)
 
 
-def forward_sweep(c: IntervalMatrix, q: IntervalVector):
-    """Run the elimination phase; returns (c_lo, c_hi, q_lo, q_hi) or Aborted."""
-    K = c.k
+def forward_sweep(c: Interval, q: Interval):
+    """Run the elimination phase; returns (c_lo, c_hi, q_lo, q_hi) or Aborted.
+
+    `c` must be K x K and `q` a K-vector, with K >= 2.
+    """
+    K = q.lo.size
+    if c.lo.shape != (K, K) or q.lo.shape != (K,) or K < 2:
+        raise ValueError(
+            f"need a K x K matrix and a K-vector with K >= 2, got {c.lo.shape} and {q.lo.shape}"
+        )
     c_lo, c_hi = c.lo.copy(), c.hi.copy()
     q_lo, q_hi = q.lo.copy(), q.hi.copy()
 
@@ -199,7 +176,7 @@ def back_substitute(c_lo, c_hi, q_lo, q_hi):
     return w_lo, w_hi
 
 
-def interval_gauss_elim(c: IntervalMatrix, q: IntervalVector):
+def interval_gauss_elim(c: Interval, q: Interval):
     """Solve the interval system, returning a WeightBox or Aborted.
 
     Guarantee: unless it aborts, the returned box contains every
@@ -213,5 +190,5 @@ def interval_gauss_elim(c: IntervalMatrix, q: IntervalVector):
     w_lo, w_hi = back_substitute(*swept)
     if np.any(w_hi <= 0):
         i = int(np.argmax(w_hi <= 0))
-        return Aborted(c.k - 1, f"nonpositive weight upper bound w[{i}]")
-    return WeightBox.from_bounds(w_lo, w_hi)
+        return Aborted(len(w_hi) - 1, f"nonpositive weight upper bound w[{i}]")
+    return WeightBox(w_lo, w_hi)

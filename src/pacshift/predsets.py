@@ -63,7 +63,6 @@ class AcceptanceRandomness:
     """The uniform draws V used by rejection sampling, one per source row."""
 
     v: np.ndarray
-    seed: int
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=float)
@@ -73,7 +72,7 @@ class AcceptanceRandomness:
     @classmethod
     def draw(cls, m: int, seed: int) -> "AcceptanceRandomness":
         rng = np.random.default_rng(seed)
-        return cls(v=rng.uniform(size=m), seed=seed)
+        return cls(v=rng.uniform(size=m))
 
 
 def ps_threshold(src: ScoreTable, rp: RiskParams) -> ThresholdResult:

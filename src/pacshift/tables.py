@@ -28,7 +28,10 @@ class ScoreTable:
         if not np.all(np.isfinite(self.scores).any(axis=1)) and self.n > 0:
             raise ValueError("every row needs at least one finite score")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
+            labels = np.asarray(self.labels)
+            if not np.array_equal(labels, np.floor(labels)):
+                raise ValueError("labels must be integers")
+            self.labels = np.asarray(labels, dtype=int)
             if self.labels.shape != (self.scores.shape[0],):
                 raise ValueError("labels must be a vector matching the row count")
             if self.n > 0 and (self.labels.min() < 0 or self.labels.max() >= self.k):

@@ -9,18 +9,10 @@ Also provides the plug-in (point-estimate) solve used by the baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .binomial import cp_interval
-from .intervals import (
-    Aborted,
-    IntervalMatrix,
-    IntervalVector,
-    WeightBox,
-    interval_gauss_elim,
-)
+from .intervals import Aborted, Interval, WeightBox, interval_gauss_elim
 from .tables import ScoreTable
 
 
@@ -28,63 +20,30 @@ class SingularMatrix(Exception):
     """Plug-in confusion matrix is (numerically) singular."""
 
 
-@dataclass
-class ConfusionEstimate:
-    """Joint counts[i, j] = #(predicted i, true j) over m source rows."""
-
-    counts: np.ndarray
-    m: int
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts)
-        if self.counts.sum() != self.m:
-            raise ValueError("counts must sum to m")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def k(self) -> int:
-        return self.counts.shape[0]
-
-    def rates(self) -> np.ndarray:
-        return self.counts / self.m
-
-
-@dataclass
-class LabelDistEstimate:
-    """Predicted-label counts over n target rows."""
-
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts)
-        if self.counts.sum() != self.n:
-            raise ValueError("counts must sum to n")
-
-    @property
-    def k(self) -> int:
-        return self.counts.shape[0]
-
-    def rates(self) -> np.ndarray:
-        return self.counts / self.n
-
-
-def estimate_confusion(src: ScoreTable) -> ConfusionEstimate:
-    """Count (predicted, true) label pairs on the labeled source table."""
+def estimate_confusion(src: ScoreTable) -> np.ndarray:
+    """K x K counts[i, j] = #(predicted i, true j) on the labeled source table."""
     if not src.is_labeled:
         raise ValueError("source table must be labeled")
     K = src.k
     pred = src.predicted()
     flat = np.bincount(pred * K + src.labels, minlength=K * K)
-    return ConfusionEstimate(counts=flat.reshape(K, K), m=src.n)
+    return flat.reshape(K, K)
 
 
-def estimate_qhat(tgt: ScoreTable) -> LabelDistEstimate:
-    """Count predicted labels on the (unlabeled) target table."""
-    pred = tgt.predicted()
-    counts = np.bincount(pred, minlength=tgt.k)
-    return LabelDistEstimate(counts=counts, n=tgt.n)
+def estimate_qhat(tgt: ScoreTable) -> np.ndarray:
+    """K counts of each predicted label on the (unlabeled) target table."""
+    return np.bincount(tgt.predicted(), minlength=tgt.k)
+
+
+def _check_counts(conf, qh) -> tuple[np.ndarray, np.ndarray]:
+    """The count arrays, checked to be K x K and K with no negative entry."""
+    conf, qh = np.asarray(conf), np.asarray(qh)
+    K = qh.size
+    if conf.shape != (K, K) or qh.shape != (K,):
+        raise ValueError(f"need K x K and K counts, got shapes {conf.shape} and {qh.shape}")
+    if np.any(conf < 0) or np.any(qh < 0):
+        raise ValueError("counts must be nonnegative")
+    return conf, qh
 
 
 def delta_split(K: int, delta: float) -> tuple[float, float]:
@@ -99,8 +58,8 @@ def delta_split(K: int, delta: float) -> tuple[float, float]:
 
 
 def cp_bounds(
-    conf: ConfusionEstimate, qh: LabelDistEstimate, delta_total: float
-) -> tuple[IntervalMatrix, IntervalVector]:
+    conf: np.ndarray, qh: np.ndarray, delta_total: float
+) -> tuple[Interval, Interval]:
     """Entrywise CP intervals that jointly hold with probability >= 1 - delta_total.
 
     Each of the K^2 confusion entries and K frequency entries gets level
@@ -108,33 +67,39 @@ def cp_bounds(
     """
     if not 0.0 < delta_total < 1.0:
         raise ValueError("delta_total must be in (0, 1)")
-    K = conf.k
+    conf, qh = _check_counts(conf, qh)
+    K, m, n = len(qh), int(conf.sum()), int(qh.sum())
     per_entry = delta_total / (K * (K + 1))
     c_lo = np.empty((K, K))
     c_hi = np.empty((K, K))
     for i in range(K):
         for j in range(K):
-            ci = cp_interval(int(conf.counts[i, j]), conf.m, per_entry)
+            ci = cp_interval(int(conf[i, j]), m, per_entry)
             c_lo[i, j], c_hi[i, j] = ci.lo, ci.hi
     q_lo = np.empty(K)
     q_hi = np.empty(K)
     for k in range(K):
-        ci = cp_interval(int(qh.counts[k]), qh.n, per_entry)
+        ci = cp_interval(int(qh[k]), n, per_entry)
         q_lo[k], q_hi[k] = ci.lo, ci.hi
-    return IntervalMatrix(c_lo, c_hi), IntervalVector(q_lo, q_hi)
+    return Interval(c_lo, c_hi), Interval(q_lo, q_hi)
 
 
-def bbse_point_weights(conf: ConfusionEstimate, qh: LabelDistEstimate) -> np.ndarray:
+def bbse_point_weights(conf: np.ndarray, qh: np.ndarray) -> np.ndarray:
     """Plug-in weight estimate: solve c_hat w = q_hat, clamping negatives to 0.
 
-    Raises SingularMatrix unless c_hat's condition number is below 1e12.
+    c_hat = conf / conf.sum() and q_hat = qh / qh.sum().  Raises ValueError
+    on an all-zero target count vector, and SingularMatrix unless c_hat's
+    condition number is below 1e12.
     """
-    a = conf.rates()
+    conf, qh = _check_counts(conf, qh)
+    if qh.sum() == 0:
+        raise ValueError("target counts are all zero")
+    a = conf / conf.sum()
     # An empty source sample gives NaN rates, on which the SVD fails.
     cond = np.linalg.cond(a) if np.all(np.isfinite(a)) else np.inf
     if not cond < 1e12:
         raise SingularMatrix(f"confusion matrix condition number {cond:.3g} >= 1e12")
-    return np.clip(np.linalg.solve(a, qh.rates()), 0.0, None)
+    return np.clip(np.linalg.solve(a, qh / qh.sum()), 0.0, None)
 
 
 def weight_box(src: ScoreTable, tgt: ScoreTable, delta_total: float) -> WeightBox | Aborted:

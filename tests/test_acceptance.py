@@ -22,8 +22,7 @@ from scipy import stats
 from pacshift import (
     AcceptanceRandomness,
     Aborted,
-    IntervalMatrix,
-    IntervalVector,
+    Interval,
     RiskParams,
     ScoreTable,
     ShiftSpec,
@@ -124,8 +123,8 @@ def test_criterion_2_interval_containment(capsys):
         q = c @ w
         wc = rng.uniform(0.0, 0.03, size=c.shape)
         wq = rng.uniform(0.0, 0.03, size=q.shape)
-        cm = IntervalMatrix(np.maximum(c - wc, 0.0), c + wc)
-        qv = IntervalVector(np.maximum(q - wq, 1e-9), q + wq)
+        cm = Interval(np.maximum(c - wc, 0.0), c + wc)
+        qv = Interval(np.maximum(q - wq, 1e-9), q + wq)
         box = interval_gauss_elim(cm, qv)
         if isinstance(box, Aborted):
             continue
@@ -145,7 +144,7 @@ def test_criterion_2_interval_containment(capsys):
         c = rng.uniform(0.0, 0.08, size=(k, k))
         c[np.diag_indices(k)] = rng.uniform(0.5, 1.0, size=k)
         w = rng.uniform(0.2, 3.0, size=k)
-        box = interval_gauss_elim(IntervalMatrix.exact(c), IntervalVector.exact(c @ w))
+        box = interval_gauss_elim(Interval.exact(c), Interval.exact(c @ w))
         assert isinstance(box, WeightBox)
         degen_err = max(degen_err, float(np.max(np.abs(box.lo - w))),
                         float(np.max(np.abs(box.hi - w))))
@@ -202,9 +201,9 @@ def test_criterion_3_worst_case_vs_brute_force(capsys):
         scores = rng.dirichlet(np.ones(2), size=m)
         labels = rng.integers(0, 2, size=m)
         src = ScoreTable(scores=scores, labels=labels)
-        v = AcceptanceRandomness(v=rng.uniform(size=m), seed=0)
+        v = AcceptanceRandomness(v=rng.uniform(size=m))
         lo = rng.uniform(-0.3, 0.6, size=2)
-        box = WeightBox.from_bounds(lo, lo + rng.uniform(0.3, 1.5, size=2))
+        box = WeightBox(lo, lo + rng.uniform(0.3, 1.5, size=2))
         rp = RiskParams(
             epsilon=float(rng.uniform(0.2, 0.6)), delta=float(rng.uniform(0.3, 0.8))
         )

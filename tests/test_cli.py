@@ -265,6 +265,16 @@ class TestExperimentCommand:
                      "--scenario", self._scenario(tmp_path, text)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key", ["m", "n", "o"])
+    def test_zero_sample_size_is_config_error(self, tmp_path, capsys, key):
+        text = SCENARIO.replace(f"{key} = 400", f"{key} = 0")
+        code = main(["experiment", "--epsilon", "0.2", "--delta", "0.05",
+                     "--scenario", self._scenario(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "m, n and o must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_method_rejected(self, tmp_path, capsys):
         with_bad = ["experiment", "--epsilon", "0.2", "--delta", "0.05",
                     "--scenario", self._scenario(tmp_path), "--method", "PS-X"]

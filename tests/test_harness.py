@@ -18,6 +18,7 @@ from pacshift import (
     run_trials,
     tweak_one,
 )
+from pacshift import harness
 from pacshift.harness import TrialReport
 
 
@@ -56,6 +57,16 @@ class TestRunTrials:
             run_trials(spec, model, ["PS-X"], rp, trials=1, seed=0)
         with pytest.raises(ValueError):
             run_trials(spec, model, ["PS"], rp, trials=0, seed=0)
+
+    @pytest.mark.parametrize("sizes", [(50, 0, 50), (0, 50, 50), (50, 50, 0)])
+    def test_rejects_empty_samples(self, sizes, monkeypatch):
+        # An empty sample breaks each method differently (NaN plug-in
+        # weights, IndexError, ZeroDivisionError), so none is drawn.
+        spec = ShiftSpec(np.full(2, 0.5), np.full(2, 0.5), *sizes)
+        model = SyntheticModel(class_centers=[[0.0], [2.0]])
+        monkeypatch.setattr(harness, "sample_shifted", lambda *a: pytest.fail("drew data"))
+        with pytest.raises(ValueError, match="m, n and o must be >= 1"):
+            run_trials(spec, model, list(METHODS), RiskParams(0.2, 0.1), trials=1, seed=0)
 
     def test_no_shift_ps_error_within_budget(self):
         spec = ShiftSpec(np.full(2, 0.5), np.full(2, 0.5), 2000, 100, 2000)

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from pacshift import (
     Aborted,
-    IntervalMatrix,
-    IntervalVector,
+    Interval,
     WeightBox,
     interval_gauss_elim,
 )
@@ -32,8 +31,8 @@ def random_dominant_system(rng, k):
 def widen(rng, c, q, scale):
     wc = rng.uniform(0.0, scale, size=c.shape)
     wq = rng.uniform(0.0, scale, size=q.shape)
-    cm = IntervalMatrix(np.maximum(c - wc, 0.0), c + wc)
-    qv = IntervalVector(np.maximum(q - wq, 1e-9), q + wq)
+    cm = Interval(np.maximum(c - wc, 0.0), c + wc)
+    qv = Interval(np.maximum(q - wq, 1e-9), q + wq)
     return cm, qv
 
 
@@ -65,8 +64,8 @@ class TestPinnedExample:
     def test_matches_reference_values(self):
         # The strict rules give lo[0] = -0.1492; the clamp raises it to 0.
         box = interval_gauss_elim(
-            IntervalMatrix(PINNED_C_LO, PINNED_C_HI),
-            IntervalVector(PINNED_Q_LO, PINNED_Q_HI),
+            Interval(PINNED_C_LO, PINNED_C_HI),
+            Interval(PINNED_Q_LO, PINNED_Q_HI),
         )
         assert isinstance(box, WeightBox)
         np.testing.assert_allclose(box.lo, [0.0, 1.2343], atol=1e-3)
@@ -85,7 +84,7 @@ class TestPinnedExample:
             oracle = k2_strict_oracle(c_lo, c_hi, q_lo, q_hi)
             if oracle is None or np.any(oracle[1] <= 0):
                 continue
-            box = interval_gauss_elim(IntervalMatrix(c_lo, c_hi), IntervalVector(q_lo, q_hi))
+            box = interval_gauss_elim(Interval(c_lo, c_hi), Interval(q_lo, q_hi))
             assert isinstance(box, WeightBox)
             assert np.all(box.hi <= oracle[1] + 1e-12)
             assert np.all(box.lo >= np.maximum(oracle[0], 0.0) - 1e-12)
@@ -95,8 +94,8 @@ class TestPinnedExample:
     def test_pinned_example_contains_interior_solutions(self):
         rng = np.random.default_rng(4)
         box = interval_gauss_elim(
-            IntervalMatrix(PINNED_C_LO, PINNED_C_HI),
-            IntervalVector(PINNED_Q_LO, PINNED_Q_HI),
+            Interval(PINNED_C_LO, PINNED_C_HI),
+            Interval(PINNED_Q_LO, PINNED_Q_HI),
         )
         for _ in range(200):
             c = rng.uniform(PINNED_C_LO, PINNED_C_HI)
@@ -113,7 +112,7 @@ class TestPinnedExample:
         c_hi = np.array([[0.81, 0.33, 0.12], [0.06, 0.5, 0.15], [0.12, 0.22, 1.03]])
         q_lo = np.array([1.0, 0.22, 1.82])
         q_hi = np.array([1.1, 0.32, 1.97])
-        box = interval_gauss_elim(IntervalMatrix(c_lo, c_hi), IntervalVector(q_lo, q_hi))
+        box = interval_gauss_elim(Interval(c_lo, c_hi), Interval(q_lo, q_hi))
         assert isinstance(box, WeightBox)
         assert box.lo[1] == 0.0
         assert box.hi[0] == pytest.approx((q_hi[0] - c_lo[0, 2] * box.lo[2]) / c_lo[0, 0])
@@ -123,7 +122,7 @@ class TestPinnedExample:
 class TestDegenerate:
     def test_identity_system(self):
         box = interval_gauss_elim(
-            IntervalMatrix.exact(np.eye(2)), IntervalVector.exact([0.3, 0.7])
+            Interval.exact(np.eye(2)), Interval.exact([0.3, 0.7])
         )
         np.testing.assert_allclose(box.lo, [0.3, 0.7], atol=1e-14)
         np.testing.assert_allclose(box.hi, [0.3, 0.7], atol=1e-14)
@@ -133,7 +132,7 @@ class TestDegenerate:
         for _ in range(50):
             k = int(rng.integers(2, 6))
             c, q, w = random_dominant_system(rng, k)
-            box = interval_gauss_elim(IntervalMatrix.exact(c), IntervalVector.exact(q))
+            box = interval_gauss_elim(Interval.exact(c), Interval.exact(q))
             assert isinstance(box, WeightBox)
             np.testing.assert_allclose(box.lo, w, atol=1e-8)
             np.testing.assert_allclose(box.hi, w, atol=1e-8)
@@ -188,8 +187,8 @@ class TestContainment:
             c, q, _ = random_dominant_system(rng, k)
             narrow = widen(rng, c, q, scale=0.01)
             wide = (
-                IntervalMatrix(narrow[0].lo - 0.01, narrow[0].hi + 0.01),
-                IntervalVector(np.maximum(narrow[1].lo - 0.01, 1e-9), narrow[1].hi + 0.01),
+                Interval(narrow[0].lo - 0.01, narrow[0].hi + 0.01),
+                Interval(np.maximum(narrow[1].lo - 0.01, 1e-9), narrow[1].hi + 0.01),
             )
             bn = interval_gauss_elim(*narrow)
             bw = interval_gauss_elim(*wide)
@@ -203,25 +202,43 @@ class TestContainment:
 
 class TestAborts:
     def test_nonpositive_diagonal_aborts(self):
-        c = IntervalMatrix(np.array([[0.0, 0.0], [0.0, 0.5]]), np.eye(2))
-        out = interval_gauss_elim(c, IntervalVector.exact([0.5, 0.5]))
+        c = Interval(np.array([[0.0, 0.0], [0.0, 0.5]]), np.eye(2))
+        out = interval_gauss_elim(c, Interval.exact([0.5, 0.5]))
         assert isinstance(out, Aborted)
         assert "diagonal" in out.reason
 
     def test_nonpositive_rhs_aborts(self):
-        c = IntervalMatrix.exact(np.eye(2))
-        out = interval_gauss_elim(c, IntervalVector(np.array([0.0, 0.5]), np.array([0.5, 0.5])))
+        c = Interval.exact(np.eye(2))
+        out = interval_gauss_elim(c, Interval(np.array([0.0, 0.5]), np.array([0.5, 0.5])))
         assert isinstance(out, Aborted)
         assert "rhs" in out.reason
 
 
-class TestWeightBox:
-    def test_envelope_must_match_max_hi(self):
-        with pytest.raises(ValueError):
-            WeightBox(lo=np.array([0.1]), hi=np.array([1.0]), envelope_b=2.0)
+class TestShapes:
+    def test_vector_of_wrong_length_raises(self):
+        # Unchecked, elimination would ignore q[2] and return a box.
+        with pytest.raises(ValueError, match="K-vector"):
+            interval_gauss_elim(Interval.exact(np.eye(2)), Interval.exact([0.3, 0.7, 0.5]))
 
-    def test_from_bounds_and_clamp(self):
-        box = WeightBox.from_bounds([-0.5, 0.2], [1.0, 3.0])
+    @pytest.mark.parametrize("c,q", [
+        (np.ones((2, 3)), [0.3, 0.7]),  # not square
+        (np.ones((1, 1)), [0.3]),  # K < 2
+        (np.eye(2), [[0.3, 0.7]]),  # q not a vector
+    ])
+    def test_bad_shapes_raise(self, c, q):
+        with pytest.raises(ValueError, match="K-vector"):
+            interval_gauss_elim(Interval.exact(c), Interval.exact(q))
+
+    def test_interval_endpoints_must_agree(self):
+        with pytest.raises(ValueError, match="same shape"):
+            Interval(np.zeros(2), np.ones(3))
+        with pytest.raises(ValueError, match="lo must be <= hi"):
+            Interval(np.ones(2), np.zeros(2))
+
+
+class TestWeightBox:
+    def test_envelope_is_max_hi(self):
+        box = WeightBox([-0.5, 0.2], [1.0, 3.0])
         assert box.envelope_b == 3.0
         np.testing.assert_allclose(box.clamped_lo(), [0.0, 0.2])
         assert box.contains([0.5, 2.0])
@@ -229,4 +246,4 @@ class TestWeightBox:
 
     def test_rejects_nonpositive_upper(self):
         with pytest.raises(ValueError):
-            WeightBox.from_bounds([-1.0, 0.1], [0.0, 1.0])
+            WeightBox([-1.0, 0.1], [0.0, 1.0])

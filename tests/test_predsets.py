@@ -76,10 +76,10 @@ def random_instance(rng, m=None):
     scores = rng.dirichlet(np.ones(2), size=m)
     labels = rng.integers(0, 2, size=m)
     src = ScoreTable(scores=scores, labels=labels)
-    v = AcceptanceRandomness(v=rng.uniform(size=m), seed=0)
+    v = AcceptanceRandomness(v=rng.uniform(size=m))
     lo = rng.uniform(-0.3, 0.6, size=2)
     hi = lo + rng.uniform(0.3, 1.5, size=2)
-    box = WeightBox.from_bounds(lo, hi)
+    box = WeightBox(lo, hi)
     rp = RiskParams(epsilon=float(rng.uniform(0.2, 0.6)), delta=float(rng.uniform(0.3, 0.8)))
     return src, v, box, rp
 
@@ -141,7 +141,7 @@ class TestRejectionSample:
         labels = rng.choice(3, size=n, p=p)
         scores = np.full((n, 3), 1 / 3)
         src = ScoreTable(scores=scores, labels=labels)
-        v = AcceptanceRandomness(v=rng.uniform(size=n), seed=0)
+        v = AcceptanceRandomness(v=rng.uniform(size=n))
         idx = rejection_sample(src, v, w, float(w.max()))
         counts = np.bincount(labels[idx], minlength=3)
         _, pval = stats.chisquare(counts, q * counts.sum())
@@ -162,7 +162,7 @@ class TestPswThreshold:
         for _ in range(20):
             src, v, _, rp = random_instance(rng, m=int(rng.integers(20, 80)))
             w = rng.uniform(0.3, 1.5, size=2)
-            box = WeightBox.from_bounds(w, w)
+            box = WeightBox(w, w)
             res = psw_threshold(src, v, box, rp)
             idx = rejection_sample(src, v, w, box.envelope_b)
             ref = ps_threshold(src.subset(idx), rp)
@@ -181,7 +181,7 @@ class TestPswThreshold:
             src, v, _, rp = random_instance(rng, m=int(rng.integers(30, 120)))
             w_true = rng.uniform(0.3, 1.5, size=2)
             pad = rng.uniform(0.0, 0.4, size=2)
-            box = WeightBox.from_bounds(w_true - pad, w_true + pad)
+            box = WeightBox(w_true - pad, w_true + pad)
             res = psw_threshold(src, v, box, rp)
             idx = rejection_sample(src, v, w_true, box.envelope_b)
             oracle = ps_threshold(src.subset(idx), rp)
@@ -191,7 +191,7 @@ class TestPswThreshold:
         rng = np.random.default_rng(27)
         for _ in range(20):
             src, v, box, rp = random_instance(rng, m=int(rng.integers(20, 80)))
-            wider = WeightBox.from_bounds(box.lo - 0.2, box.hi + 0.2)
+            wider = WeightBox(box.lo - 0.2, box.hi + 0.2)
             assert psw_threshold(src, v, wider, rp).tau <= psw_threshold(src, v, box, rp).tau
 
     def test_aborted_box_propagates(self):
@@ -205,15 +205,15 @@ class TestPscThreshold:
     def test_unit_envelope_equals_ps(self):
         rng = np.random.default_rng(29)
         src, _, _, rp = random_instance(rng, m=60)
-        box = WeightBox.from_bounds([0.4, 0.6], [0.8, 1.0])
+        box = WeightBox([0.4, 0.6], [0.8, 1.0])
         assert psc_threshold(src, box, rp).tau == ps_threshold(src, rp).tau
 
     def test_larger_envelope_is_more_conservative(self):
         rng = np.random.default_rng(30)
         src, _, _, _ = random_instance(rng, m=200)
         rp = RiskParams(epsilon=0.4, delta=0.3)
-        small = WeightBox.from_bounds([0.5, 0.5], [1.0, 1.0])
-        large = WeightBox.from_bounds([0.5, 0.5], [1.0, 2.5])
+        small = WeightBox([0.5, 0.5], [1.0, 1.0])
+        large = WeightBox([0.5, 0.5], [1.0, 2.5])
         assert psc_threshold(src, large, rp).tau <= psc_threshold(src, small, rp).tau
 
     def test_aborted_box_propagates(self):

@@ -27,3 +27,14 @@ def test_subset_with_non_finite_off_label_scores():
     t = table([[0.5, np.nan], [0.1, 0.9], [np.inf, 0.3]], labels=[0, 1, 1])
     assert np.array_equal(t.subset([2, 0]).true_scores(), [0.3, 0.5])
     assert t.subset(np.array([], dtype=int)).n == 0
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.0], [0.0, 1.7], [0.0, np.nan]])
+def test_non_integral_labels_rejected(labels):
+    with pytest.raises(ValueError, match="labels must be integers"):
+        table([[0.5, 0.5], [0.2, 0.8]], labels=labels)
+
+
+def test_integral_float_labels_accepted():
+    t = table([[0.5, 0.5], [0.2, 0.8]], labels=[1.0, 0.0])
+    assert t.labels.tolist() == [1, 0] and t.labels.dtype.kind == "i"

@@ -11,10 +11,7 @@ import pytest
 
 from pacshift import (
     Aborted,
-    ConfusionEstimate,
-    IntervalMatrix,
-    IntervalVector,
-    LabelDistEstimate,
+    Interval,
     ScoreTable,
     ShiftSpec,
     SingularMatrix,
@@ -43,14 +40,14 @@ def random_table(rng, n, k, labeled=True):
 class TestEstimateConfusion:
     def test_two_row_example(self):
         t = ScoreTable(scores=np.array([[0.9, 0.1], [0.2, 0.8]]), labels=np.array([0, 1]))
-        np.testing.assert_array_equal(estimate_confusion(t).counts, [[1, 0], [0, 1]])
+        np.testing.assert_array_equal(estimate_confusion(t), [[1, 0], [0, 1]])
 
     def test_all_rows_one_cell(self):
         m = 17
         t = ScoreTable(scores=np.tile([0.9, 0.1], (m, 1)), labels=np.ones(m, dtype=int))
         conf = estimate_confusion(t)
-        assert conf.counts[0, 1] == m
-        assert conf.counts.sum() == m
+        assert conf[0, 1] == m
+        assert conf.sum() == m
 
     def test_random_table_matches_recount(self):
         rng = np.random.default_rng(8)
@@ -60,7 +57,7 @@ class TestEstimateConfusion:
         expected = np.zeros((4, 4), dtype=int)
         for p, y in zip(pred, t.labels):
             expected[p, y] += 1
-        np.testing.assert_array_equal(conf.counts, expected)
+        np.testing.assert_array_equal(conf, expected)
 
     def test_requires_labels(self):
         rng = np.random.default_rng(9)
@@ -71,18 +68,18 @@ class TestEstimateConfusion:
 class TestEstimateQhat:
     def test_all_rows_same_class(self):
         t = ScoreTable(scores=np.tile([0.1, 0.2, 0.7], (9, 1)))
-        np.testing.assert_array_equal(estimate_qhat(t).counts, [0, 0, 9])
+        np.testing.assert_array_equal(estimate_qhat(t), [0, 0, 9])
 
     def test_one_row_per_class(self):
         t = ScoreTable(scores=np.eye(3) * 0.8 + 0.1)
-        np.testing.assert_array_equal(estimate_qhat(t).counts, [1, 1, 1])
+        np.testing.assert_array_equal(estimate_qhat(t), [1, 1, 1])
 
     def test_random_table_matches_recount(self):
         rng = np.random.default_rng(10)
         t = random_table(rng, 200, 5, labeled=False)
         qh = estimate_qhat(t)
         expected = np.bincount(np.argmax(t.scores, axis=1), minlength=5)
-        np.testing.assert_array_equal(qh.counts, expected)
+        np.testing.assert_array_equal(qh, expected)
 
 
 class TestDeltaSplit:
@@ -100,22 +97,19 @@ class TestDeltaSplit:
 class TestCpBounds:
     def test_concentrated_counts_closed_form(self):
         m, K = 50, 2
-        counts = np.zeros((K, K), dtype=int)
-        counts[0, 0] = m
-        conf = ConfusionEstimate(counts=counts, m=m)
-        qh = LabelDistEstimate(counts=np.array([30, 20]), n=50)
+        conf = np.zeros((K, K), dtype=int)
+        conf[0, 0] = m
         delta_total = 0.06
         per_entry = delta_total / (K * (K + 1))
-        c_iv, _ = cp_bounds(conf, qh, delta_total)
+        c_iv, _ = cp_bounds(conf, np.array([30, 20]), delta_total)
         assert c_iv.lo[0, 0] == pytest.approx((per_entry / 2) ** (1 / m), abs=1e-12)
         assert c_iv.hi[0, 0] == 1.0
         assert np.all(c_iv.lo[c_iv.lo != c_iv.lo[0, 0]] == 0.0)
 
     def test_nesting_in_budget(self):
         rng = np.random.default_rng(11)
-        counts = rng.multinomial(300, np.ones(9) / 9).reshape(3, 3)
-        conf = ConfusionEstimate(counts=counts, m=300)
-        qh = LabelDistEstimate(counts=rng.multinomial(200, np.ones(3) / 3), n=200)
+        conf = rng.multinomial(300, np.ones(9) / 9).reshape(3, 3)
+        qh = rng.multinomial(200, np.ones(3) / 3)
         wide_c, wide_q = cp_bounds(conf, qh, 0.01)
         narrow_c, narrow_q = cp_bounds(conf, qh, 1 - 1e-9)
         assert np.all(wide_c.lo <= narrow_c.lo) and np.all(narrow_c.hi <= wide_c.hi)
@@ -123,83 +117,97 @@ class TestCpBounds:
 
     def test_entrywise_equals_scalar_oracle(self):
         rng = np.random.default_rng(12)
-        counts = rng.multinomial(500, np.ones(9) / 9).reshape(3, 3)
-        conf = ConfusionEstimate(counts=counts, m=500)
-        qcounts = rng.multinomial(400, np.ones(3) / 3)
-        qh = LabelDistEstimate(counts=qcounts, n=400)
+        conf = rng.multinomial(500, np.ones(9) / 9).reshape(3, 3)
+        qh = rng.multinomial(400, np.ones(3) / 3)
         delta_total = 4e-4
         per_entry = delta_total / 12
         c_iv, q_iv = cp_bounds(conf, qh, delta_total)
         for i in range(3):
             for j in range(3):
-                ref = cp_interval(int(counts[i, j]), 500, per_entry)
+                ref = cp_interval(int(conf[i, j]), 500, per_entry)
                 assert c_iv.lo[i, j] == ref.lo and c_iv.hi[i, j] == ref.hi
-            ref = cp_interval(int(qcounts[i]), 400, per_entry)
+            ref = cp_interval(int(qh[i]), 400, per_entry)
             assert q_iv.lo[i] == ref.lo and q_iv.hi[i] == ref.hi
+
+    @pytest.mark.parametrize("conf,qh", [
+        (np.full((2, 2), 10), np.array([10, 10, 10])),  # unchecked, qh[2] would be ignored
+        (np.full((3, 3), 10), np.array([10, 10])),
+        (np.full((2, 3), 10), np.array([10, 10])),
+    ])
+    def test_k_mismatch_raises(self, conf, qh):
+        with pytest.raises(ValueError, match="shapes"):
+            cp_bounds(conf, qh, 0.01)
+
+    def test_negative_counts_raise(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cp_bounds(np.array([[10, -1], [1, 10]]), np.array([10, 10]), 0.01)
+        with pytest.raises(ValueError, match="nonnegative"):
+            cp_bounds(np.full((2, 2), 10), np.array([-1, 10]), 0.01)
 
 
 class TestBbsePointWeights:
     def test_perfect_classifier_uniform_source(self):
         K = 4
-        conf = ConfusionEstimate(counts=25 * np.eye(K, dtype=int), m=100)
-        qh = LabelDistEstimate(counts=np.array([10, 20, 30, 40]), n=100)
-        np.testing.assert_allclose(bbse_point_weights(conf, qh), K * qh.rates(), atol=1e-12)
+        qh = np.array([10, 20, 30, 40])
+        w = bbse_point_weights(25 * np.eye(K, dtype=int), qh)
+        np.testing.assert_allclose(w, K * qh / qh.sum(), atol=1e-12)
 
     def test_no_shift_gives_unit_weights(self):
         rng = np.random.default_rng(13)
-        counts = rng.multinomial(1000, np.ones(9) / 9).reshape(3, 3)
-        counts[np.diag_indices(3)] += 200
-        m = int(counts.sum())
-        conf = ConfusionEstimate(counts=counts, m=m)
-        qh = LabelDistEstimate(counts=counts.sum(axis=1), n=m)
-        np.testing.assert_allclose(bbse_point_weights(conf, qh), np.ones(3), atol=1e-10)
+        conf = rng.multinomial(1000, np.ones(9) / 9).reshape(3, 3)
+        conf[np.diag_indices(3)] += 200
+        w = bbse_point_weights(conf, conf.sum(axis=1))
+        np.testing.assert_allclose(w, np.ones(3), atol=1e-10)
 
     def test_residual_oracle(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
-            counts = rng.multinomial(2000, np.ones(9) / 9).reshape(3, 3)
-            counts[np.diag_indices(3)] += 400
-            m = int(counts.sum())
-            conf = ConfusionEstimate(counts=counts, m=m)
-            qh = LabelDistEstimate(counts=rng.multinomial(500, np.ones(3) / 3), n=500)
+            conf = rng.multinomial(2000, np.ones(9) / 9).reshape(3, 3)
+            conf[np.diag_indices(3)] += 400
+            qh = rng.multinomial(500, np.ones(3) / 3)
             w = bbse_point_weights(conf, qh)
-            assert np.max(np.abs(conf.rates() @ w - qh.rates())) <= 1e-8
+            assert np.max(np.abs((conf / conf.sum()) @ w - qh / qh.sum())) <= 1e-8
 
     def test_singular_raises(self):
-        counts = np.array([[50, 50], [0, 0]])
-        conf = ConfusionEstimate(counts=counts, m=100)
-        qh = LabelDistEstimate(counts=np.array([60, 40]), n=100)
         with pytest.raises(SingularMatrix):
-            bbse_point_weights(conf, qh)
+            bbse_point_weights(np.array([[50, 50], [0, 0]]), np.array([60, 40]))
 
     def test_empty_source_raises(self):
-        conf = ConfusionEstimate(counts=np.zeros((2, 2), dtype=int), m=0)
-        qh = LabelDistEstimate(counts=np.array([60, 40]), n=100)
+        conf = np.zeros((2, 2), dtype=int)
         with np.errstate(invalid="ignore"), pytest.raises(SingularMatrix):
-            bbse_point_weights(conf, qh)
+            bbse_point_weights(conf, np.array([60, 40]))
+
+    def test_empty_target_raises(self):
+        # q_hat would be 0/0: NaN weights, not a solve.
+        with pytest.raises(ValueError, match="all zero"):
+            bbse_point_weights(np.array([[40, 10], [10, 40]]), np.zeros(2, dtype=int))
+
+    def test_k_mismatch_raises(self):
+        with pytest.raises(ValueError, match="shapes"):
+            bbse_point_weights(np.array([[40, 10], [10, 40]]), np.array([60, 40, 5]))
+
+    def test_negative_counts_raise(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bbse_point_weights(np.array([[40, 10], [-10, 40]]), np.array([60, 40]))
 
     def test_ill_conditioned_raises(self):
         # Full rank in floating point, but cond(c_hat) ~ 4e13 > 1e12.
         big = 10**13
-        counts = np.array([[big, big], [big, big + 1]])
-        conf = ConfusionEstimate(counts=counts, m=int(counts.sum()))
-        assert np.linalg.matrix_rank(conf.rates()) == 2
-        assert np.linalg.cond(conf.rates()) > 1e12
-        qh = LabelDistEstimate(counts=np.array([60, 40]), n=100)
+        conf = np.array([[big, big], [big, big + 1]])
+        assert np.linalg.matrix_rank(conf / conf.sum()) == 2
+        assert np.linalg.cond(conf / conf.sum()) > 1e12
         with pytest.raises(SingularMatrix):
-            bbse_point_weights(conf, qh)
+            bbse_point_weights(conf, np.array([60, 40]))
 
 
 class TestWeightBox:
     def test_zero_width_collapses_to_point_solve(self):
         rng = np.random.default_rng(15)
-        counts = rng.multinomial(3000, np.ones(9) / 9).reshape(3, 3)
-        counts[np.diag_indices(3)] += 600
-        m = int(counts.sum())
-        conf = ConfusionEstimate(counts=counts, m=m)
-        qh = LabelDistEstimate(counts=rng.multinomial(800, np.ones(3) / 3), n=800)
+        conf = rng.multinomial(3000, np.ones(9) / 9).reshape(3, 3)
+        conf[np.diag_indices(3)] += 600
+        qh = rng.multinomial(800, np.ones(3) / 3)
         box = interval_gauss_elim(
-            IntervalMatrix.exact(conf.rates()), IntervalVector.exact(qh.rates())
+            Interval.exact(conf / conf.sum()), Interval.exact(qh / qh.sum())
         )
         point = bbse_point_weights(conf, qh)
         assert isinstance(box, WeightBox)
