@@ -7,7 +7,7 @@ propagating those intervals through Gaussian elimination to box the
 importance weights, and calibrating a worst-case threshold over that box.
 """
 
-from .binomial import ConfInterval, RiskParams, binom_cdf, binom_k, cp_interval
+from .binomial import RiskParams, binom_cdf, binom_k, cp_interval
 from .intervals import Aborted, Interval, WeightBox, interval_gauss_elim
 from .predsets import (
     AcceptanceRandomness,
@@ -36,7 +36,6 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfInterval",
     "RiskParams",
     "binom_cdf",
     "binom_k",

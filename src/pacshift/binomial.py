@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special
+
+from .intervals import Interval
 
 
 @dataclass(frozen=True)
@@ -19,26 +22,6 @@ class RiskParams:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
-class ConfInterval:
-    """Two-sided confidence interval for a binomial proportion."""
-
-    lo: float
-    hi: float
-    level: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lo <= self.hi <= 1.0:
-            raise ValueError("interval bounds out of order")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, p: float) -> bool:
-        return self.lo <= p <= self.hi
 
 
 def binom_cdf(k: int, m: int, eps: float) -> float:
@@ -86,25 +69,24 @@ def binom_k(m: int, rp: RiskParams) -> int:
     return lo
 
 
-def cp_interval(successes: int, trials: int, level: float) -> ConfInterval:
-    """Exact two-sided Clopper-Pearson interval at the given failure level.
+def cp_interval(successes, trials, level) -> Interval:
+    """Exact two-sided Clopper-Pearson intervals at the given failure level.
 
-    Endpoints are the usual beta quantiles; the boundary cases x = 0 and
-    x = n use the closed forms lo = 0 and hi = 1.
+    The arguments broadcast like NumPy arrays, one interval per entry;
+    scalar arguments give 0-d endpoints.  Endpoints are the usual beta
+    quantiles; the boundary cases x = 0 and x = n use the closed forms
+    lo = 0 and hi = 1.
     """
-    if trials < 1:
+    x, n, level = np.asarray(successes), np.asarray(trials), np.asarray(level, dtype=float)
+    if np.any(n < 1):
         raise ValueError("trials must be >= 1")
-    if not 0 <= successes <= trials:
+    if not np.all((0 <= x) & (x <= n)):
         raise ValueError("successes must be in [0, trials]")
-    if not 0.0 < level < 1.0:
+    if not np.all((0.0 < level) & (level < 1.0)):
         raise ValueError("level must be in (0, 1)")
-    x, n = successes, trials
-    if x == 0:
-        lo = 0.0
-    else:
-        lo = float(special.betaincinv(x, n - x + 1, level / 2))
-    if x == n:
-        hi = 1.0
-    else:
-        hi = float(special.betaincinv(x + 1, n - x, 1.0 - level / 2))
-    return ConfInterval(lo=lo, hi=hi, level=level)
+    lo = np.where(x == 0, 0.0, special.betaincinv(x, n - x + 1, level / 2))
+    hi = np.where(x == n, 1.0, special.betaincinv(x + 1, n - x, 1.0 - level / 2))
+    # Also rejects NaN endpoints.
+    if not np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)):
+        raise ValueError("interval bounds out of order")
+    return Interval(lo, hi)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .intervals import Aborted
 from .predsets import CALIBRATED, AcceptanceRandomness, psw_threshold
 from .shift_sim import ShiftSpec, SyntheticModel
 from .tables import ScoreTable
-from .weights import delta_split, weight_box
+from .weights import delta_split, interval_level, weight_box
 
 FORMAT_TAG = "# pacshift-v1"
 
@@ -139,9 +140,23 @@ def write_scores(path: str, table: ScoreTable):
     if table.is_labeled:
         head.insert(0, "label")
         rows = (f"{lab},{row}" for lab, row in zip(table.labels.tolist(), rows))
+    _write_tagged(path, [",".join(head)], rows, "\r\n")
+
+
+def _write_tagged(path: str, head: list, lines, end: str):
+    """Write the version line, then the head and body lines, each ending in `end`.
+
+    The version line always ends in a bare newline.  Lines are written
+    without newline translation, so the bytes are the same on every platform.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"{FORMAT_TAG}\n{','.join(head)}\r\n")
-        fh.writelines(f"{row}\r\n" for row in rows)
+        fh.write(FORMAT_TAG + "\n")
+        fh.writelines(f"{line}{end}" for line in itertools.chain(head, lines))
+
+
+def _json_float(x: float):
+    """JSON has no NaN or infinity: a non-finite value (a tau of -inf or NaN) becomes null."""
+    return x if math.isfinite(x) else None
 
 
 def read_scenario(path: str) -> tuple[ShiftSpec, SyntheticModel]:
@@ -217,37 +232,31 @@ def cmd_calibrate(args) -> int:
         "format": FORMAT_TAG.lstrip("# "),
         "epsilon": rp.epsilon,
         "delta": rp.delta,
-        "per_interval_delta": box_budget / (K * (K + 1)),
+        "per_interval_delta": interval_level(K, box_budget),
         "calibration_delta": calib_delta,
         "seed": args.seed,
     }
     if isinstance(box, Aborted):
-        report["status"] = "aborted"
-        report["abort_step"] = box.step
-        report["abort_reason"] = box.reason
-        _write_json(args.out, report)
-        print(f"aborted at step {box.step}: {box.reason}", file=sys.stderr)
-        return EXIT_ABORT
-
-    v = AcceptanceRandomness.draw(src.n, args.seed)
-    result = psw_threshold(src, v, box, RiskParams(rp.epsilon, calib_delta))
-    report.update(
-        {
-            "status": result.status,
-            "tau": result.tau if math.isfinite(result.tau) else None,
-            "weight_box": {
-                "lo": box.lo.tolist(),
-                "hi": box.hi.tolist(),
-                "envelope_b": box.envelope_b,
-            },
-        }
-    )
-    _write_json(args.out, report)
-    if result.status == CALIBRATED:
-        print(f"tau = {result.tau:.6g}  (b = {box.envelope_b:.4g})")
+        report.update(status="aborted", abort_step=box.step, abort_reason=box.reason)
+        code, stream, message = EXIT_ABORT, sys.stderr, f"aborted at step {box.step}: {box.reason}"
     else:
-        print("full prediction set (no feasible threshold)")
-    return EXIT_OK
+        v = AcceptanceRandomness.draw(src.n, args.seed)
+        result = psw_threshold(src, v, box, RiskParams(rp.epsilon, calib_delta))
+        report.update(
+            status=result.status,
+            tau=_json_float(result.tau),
+            weight_box={
+                "lo": box.lo.tolist(), "hi": box.hi.tolist(), "envelope_b": box.envelope_b
+            },
+        )
+        code, stream = EXIT_OK, sys.stdout
+        if result.status == CALIBRATED:
+            message = f"tau = {result.tau:.6g}  (b = {box.envelope_b:.4g})"
+        else:
+            message = "full prediction set (no feasible threshold)"
+    _write_json(args.out, report)
+    print(message, file=stream)
+    return code
 
 
 def cmd_experiment(args) -> int:
@@ -260,38 +269,22 @@ def cmd_experiment(args) -> int:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     jsonl = os.path.join(out, "reports.jsonl")
-    with open(jsonl, "w", encoding="utf-8") as fh:
-        fh.write(FORMAT_TAG + "\n")
-        for r in reports:
-            fh.write(
-                json.dumps(
-                    {
-                        "method": r.method,
-                        "trial": r.trial,
-                        "error": r.error,
-                        "avg_size": r.avg_size,
-                        "tau": r.tau if math.isfinite(r.tau) else None,
-                        "aborted": r.aborted,
-                    }
-                )
-                + "\n"
-            )
+    _write_tagged(jsonl, [], (
+        json.dumps({"method": r.method, "trial": r.trial, "error": r.error,
+                    "avg_size": r.avg_size, "tau": _json_float(r.tau), "aborted": r.aborted})
+        for r in reports
+    ), "\n")
+    qs = (0, 25, 50, 75, 100)
+    head = ["method", "trials", "violations", "aborts", "mean_error", "mean_size"]
+    head += [f"error_q{q}" for q in qs] + [f"size_q{q}" for q in qs]
     summary_path = os.path.join(out, "summary.csv")
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(FORMAT_TAG + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "trials", "violations", "aborts", "mean_error", "mean_size"]
-            + [f"error_q{q}" for q in (0, 25, 50, 75, 100)]
-            + [f"size_q{q}" for q in (0, 25, 50, 75, 100)]
-        )
-        for method, s in summary.items():
-            writer.writerow(
-                [method, s["trials"], s["violations"], s["aborts"],
-                 repr(s["mean_error"]), repr(s["mean_size"])]
-                + [repr(s["error_quantiles"][q]) for q in (0, 25, 50, 75, 100)]
-                + [repr(s["size_quantiles"][q]) for q in (0, 25, 50, 75, 100)]
-            )
+    _write_tagged(summary_path, [",".join(head)], (
+        ",".join([method, *map(repr, [
+            s["trials"], s["violations"], s["aborts"], s["mean_error"], s["mean_size"],
+            *(s["error_quantiles"][q] for q in qs), *(s["size_quantiles"][q] for q in qs),
+        ])])
+        for method, s in summary.items()
+    ), "\r\n")
     for method, s in summary.items():
         print(
             f"{method:7s} trials={s['trials']} violations={s['violations']} "

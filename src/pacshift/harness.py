@@ -63,7 +63,7 @@ def _calibrate(method, src, v, rp, rp_resid, box, pointw, truew):
     if method == "PS-W":
         return psw_threshold(src, v, box, rp_resid)
     if method == "PS-C":
-        return psc_threshold(src, box, RiskParams(rp.epsilon, rp_resid.delta))
+        return psc_threshold(src, box, rp_resid)
     if method == "PS-R":
         if pointw is None:
             return aborted_result()
@@ -72,9 +72,8 @@ def _calibrate(method, src, v, rp, rp_resid, box, pointw, truew):
         if pointw is None:
             return aborted_result()
         return wcp_threshold(src, pointw, rp.epsilon)
-    if method == "ORACLE":
-        return psr_threshold(src, v, truew, rp)
-    raise ValueError(f"unknown method {method!r}")
+    # ORACLE: run_trials rejects unknown methods before its loop.
+    return psr_threshold(src, v, truew, rp)
 
 
 def run_trials(

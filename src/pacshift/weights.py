@@ -46,15 +46,25 @@ def _check_counts(conf, qh) -> tuple[np.ndarray, np.ndarray]:
     return conf, qh
 
 
+def _n_intervals(K: int) -> int:
+    """CP intervals under the union bound: K^2 confusion entries and K frequencies."""
+    return K * (K + 1)
+
+
 def delta_split(K: int, delta: float) -> tuple[float, float]:
     """Split delta into (interval budget, calibration level).
 
-    The K(K+1) elementwise intervals share the first part equally; the
-    remaining delta/(K(K+1)+1) is reserved for threshold calibration.
+    The K(K+1) elementwise intervals share the first part equally (see
+    interval_level); the remaining delta/(K(K+1)+1) is reserved for
+    threshold calibration.
     """
-    n_int = K * (K + 1)
-    calib = delta / (n_int + 1)
+    calib = delta / (_n_intervals(K) + 1)
     return delta - calib, calib
+
+
+def interval_level(K: int, box_budget: float) -> float:
+    """Failure level of each of the K(K+1) CP intervals sharing box_budget."""
+    return box_budget / _n_intervals(K)
 
 
 def cp_bounds(
@@ -63,25 +73,13 @@ def cp_bounds(
     """Entrywise CP intervals that jointly hold with probability >= 1 - delta_total.
 
     Each of the K^2 confusion entries and K frequency entries gets level
-    delta_total / (K(K+1)); joint validity follows by a union bound.
+    interval_level(K, delta_total); joint validity follows by a union bound.
     """
     if not 0.0 < delta_total < 1.0:
         raise ValueError("delta_total must be in (0, 1)")
     conf, qh = _check_counts(conf, qh)
-    K, m, n = len(qh), int(conf.sum()), int(qh.sum())
-    per_entry = delta_total / (K * (K + 1))
-    c_lo = np.empty((K, K))
-    c_hi = np.empty((K, K))
-    for i in range(K):
-        for j in range(K):
-            ci = cp_interval(int(conf[i, j]), m, per_entry)
-            c_lo[i, j], c_hi[i, j] = ci.lo, ci.hi
-    q_lo = np.empty(K)
-    q_hi = np.empty(K)
-    for k in range(K):
-        ci = cp_interval(int(qh[k]), n, per_entry)
-        q_lo[k], q_hi[k] = ci.lo, ci.hi
-    return Interval(c_lo, c_hi), Interval(q_lo, q_hi)
+    per_entry = interval_level(qh.size, delta_total)
+    return cp_interval(conf, conf.sum(), per_entry), cp_interval(qh, qh.sum(), per_entry)
 
 
 def bbse_point_weights(conf: np.ndarray, qh: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ Each test prints a single PASS/FAIL line for its criterion:
 """
 
 import itertools
+import json
 import math
 import time
 
@@ -36,8 +37,11 @@ from pacshift import (
     interval_gauss_elim,
     psw_threshold,
     run_trials,
+    sample_shifted,
     tweak_one,
 )
+from pacshift import cli, harness, weights
+from pacshift.cli import write_scores
 
 
 def report(capsys, name, ok, detail=""):
@@ -96,7 +100,8 @@ def test_criterion_1_binomial_tails(capsys):
 
     level, n, trials, p_true = 0.1, 300, 5000, 0.25
     xs = rng.binomial(n, p_true, size=trials)
-    hits = sum(cp_interval(int(x), n, level).contains(p_true) for x in xs)
+    iv = cp_interval(xs, n, level)
+    hits = np.count_nonzero((iv.lo <= p_true) & (p_true <= iv.hi))
     sigma = math.sqrt(level * (1 - level) / trials)
     cov_ok = hits / trials >= (1 - level) - 3 * sigma
 
@@ -280,17 +285,81 @@ def test_criterion_5_efficiency_under_severe_shift(capsys, severe_shift_run):
     )
 
 
-def test_criterion_6_delta_budget_audit(capsys):
+class LedgerSpy:
+    """Records the failure levels the library spends while installed.
+
+    Wraps ``pacshift.weights.cp_interval`` (each entry's CP level) and
+    ``psw_threshold`` in the given module (the calibration delta).
+    """
+
+    def __init__(self, monkeypatch, psw_module):
+        self.levels = []  # (level, number of entries) per cp_interval call
+        self.psw_deltas = []
+        cp, psw = weights.cp_interval, getattr(psw_module, "psw_threshold")
+
+        def spy_cp(successes, trials, level):
+            self.levels.append((level, np.broadcast(successes, trials, level).size))
+            return cp(successes, trials, level)
+
+        def spy_psw(src, v, box, rp):
+            self.psw_deltas.append(rp.delta)
+            return psw(src, v, box, rp)
+
+        monkeypatch.setattr(weights, "cp_interval", spy_cp)
+        monkeypatch.setattr(psw_module, "psw_threshold", spy_psw)
+
+    def interval_total(self) -> float:
+        return math.fsum(level * count for level, count in self.levels)
+
+
+def ledger_data(K: int, m: int = 300):
+    spec = ShiftSpec(np.full(K, 1.0 / K), tweak_one(K, 0.5), m, m, m)
+    model = SyntheticModel(8.0 * np.arange(K, dtype=float)[:, None], 1.0, 8.0)
+    return spec, model
+
+
+def test_criterion_6_delta_budget_audit(capsys, monkeypatch, tmp_path):
+    pairs = [(2, 0.1), (3, 5e-4), (4, 1e-2), (10, 1e-6), (7, 0.25)]
     worst = 0.0
-    for K, delta in [(2, 0.1), (3, 5e-4), (4, 1e-2), (10, 1e-6), (7, 0.25)]:
+    for K, delta in pairs:
         box_budget, calib = delta_split(K, delta)
         per_interval = box_budget / (K * (K + 1))
         total = per_interval * K * (K + 1) + calib
         worst = max(worst, abs(total - delta))
-    ok = worst <= 1e-12
+
+    # The levels the code spends: CP levels inside weight_box and the delta
+    # that run_trials hands to PS-W, then the same for a calibrate report.
+    spent_worst = 0.0
+    for K, delta in pairs:
+        spec, model = ledger_data(K)
+        with monkeypatch.context() as mp:
+            spy = LedgerSpy(mp, harness)
+            run_trials(spec, model, ["PS-W"], RiskParams(0.1, delta), trials=1, seed=K)
+        assert len(spy.levels) == 2  # cp_bounds: one call for conf, one for qh
+        assert sum(count for _, count in spy.levels) == K * (K + 1)
+        assert len(spy.psw_deltas) == 1
+        spent_worst = max(spent_worst, abs(spy.interval_total() + spy.psw_deltas[0] - delta))
+
+        src, tgt, _ = sample_shifted(spec, model, K)
+        paths = [str(tmp_path / name) for name in ("src.csv", "tgt.csv", "report.json")]
+        write_scores(paths[0], src)
+        write_scores(paths[1], tgt)
+        with monkeypatch.context() as mp:
+            spy = LedgerSpy(mp, cli)
+            cli.main(["calibrate", "--epsilon", "0.1", "--delta", repr(delta),
+                      "--source", paths[0], "--target", paths[1], "--out", paths[2]])
+        with open(paths[2]) as fh:
+            rep = json.load(fh)
+        assert all(level == rep["per_interval_delta"] for level, _ in spy.levels)
+        assert spy.psw_deltas in ([], [rep["calibration_delta"]])
+        reported = rep["per_interval_delta"] * K * (K + 1) + rep["calibration_delta"]
+        spent = spy.interval_total() + rep["calibration_delta"]
+        spent_worst = max(spent_worst, abs(reported - delta), abs(spent - delta))
+
+    ok = worst <= 1e-12 and spent_worst <= 1e-12
     report(
         capsys,
         "criterion 6: failure-probability budget sums to delta",
         ok,
-        f"max residual {worst:.2e}",
+        f"max residual {worst:.2e}, spent by the code {spent_worst:.2e}",
     )

@@ -3,15 +3,19 @@
 Oracles are computed independently of the implementation: direct
 extended-precision summation (mpmath) for the CDF, a linear scan for the
 tail inversion, and bisection against the summed CDF for Clopper-Pearson.
+The array form of cp_interval must also equal, bit for bit, the per-entry
+beta quantiles computed one scalar at a time.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
-from pacshift import ConfInterval, RiskParams, binom_cdf, binom_k, cp_interval
+from pacshift import RiskParams, binom_cdf, binom_k, cp_interval
 
 
 def cdf_oracle(k: int, m: int, eps: float) -> float:
@@ -35,8 +39,8 @@ def binom_k_scan_oracle(m: int, rp: RiskParams):
     return best
 
 
-def cp_bisect_oracle(x: int, n: int, level: float) -> ConfInterval:
-    """Clopper-Pearson endpoints by bisection on the exact binomial tails."""
+def cp_bisect_oracle(x: int, n: int, level: float) -> tuple[float, float]:
+    """Clopper-Pearson (lo, hi) by bisection on the exact binomial tails."""
 
     def upper_tail(p):  # P(X >= x)
         return 1.0 - cdf_oracle(x - 1, n, p) if x > 0 else 1.0
@@ -48,6 +52,10 @@ def cp_bisect_oracle(x: int, n: int, level: float) -> ConfInterval:
         lo, hi = 0.0, 1.0
         for _ in range(200):
             mid = (lo + hi) / 2
+            if mid in (lo, hi):
+                # lo and hi are adjacent floats: no later step moves the
+                # result, so this is what all 200 steps would return.
+                return mid
             if (f(mid) < target) == increasing:
                 lo = mid
             else:
@@ -56,7 +64,14 @@ def cp_bisect_oracle(x: int, n: int, level: float) -> ConfInterval:
 
     lo = 0.0 if x == 0 else bisect(upper_tail, level / 2, increasing=True)
     hi = 1.0 if x == n else bisect(lower_tail, level / 2, increasing=False)
-    return ConfInterval(lo=lo, hi=hi, level=level)
+    return lo, hi
+
+
+def cp_scalar_reference(x: int, n: int, level: float) -> tuple[float, float]:
+    """One entry's beta quantiles, with Python branches for x = 0 and x = n."""
+    lo = 0.0 if x == 0 else float(special.betaincinv(x, n - x + 1, level / 2))
+    hi = 1.0 if x == n else float(special.betaincinv(x + 1, n - x, 1.0 - level / 2))
+    return lo, hi
 
 
 class TestBinomCdf:
@@ -140,20 +155,22 @@ class TestCpInterval:
 
     def test_reference_case_matches_bisection(self):
         iv = cp_interval(3, 20, 0.05)
-        oracle = cp_bisect_oracle(3, 20, 0.05)
-        assert iv.lo == pytest.approx(oracle.lo, abs=1e-10)
-        assert iv.hi == pytest.approx(oracle.hi, abs=1e-10)
+        lo, hi = cp_bisect_oracle(3, 20, 0.05)
+        assert iv.lo == pytest.approx(lo, abs=1e-10)
+        assert iv.hi == pytest.approx(hi, abs=1e-10)
 
     def test_random_cases_match_bisection(self):
         rng = np.random.default_rng(2)
+        cases = []
         for _ in range(20):
             n = int(rng.integers(1, 500))
             x = int(rng.integers(0, n + 1))
-            level = float(rng.uniform(1e-5, 0.2))
-            iv = cp_interval(x, n, level)
-            oracle = cp_bisect_oracle(x, n, level)
-            assert iv.lo == pytest.approx(oracle.lo, abs=1e-9)
-            assert iv.hi == pytest.approx(oracle.hi, abs=1e-9)
+            cases.append((x, n, float(rng.uniform(1e-5, 0.2))))
+        iv = cp_interval(*(np.array(col) for col in zip(*cases)))
+        for i, case in enumerate(cases):
+            lo, hi = cp_bisect_oracle(*case)
+            assert iv.lo[i] == pytest.approx(lo, abs=1e-9)
+            assert iv.hi[i] == pytest.approx(hi, abs=1e-9)
 
     def test_nesting_in_level(self):
         wide = cp_interval(7, 40, 1e-4)
@@ -164,11 +181,9 @@ class TestCpInterval:
         rng = np.random.default_rng(3)
         level, n, trials = 0.1, 200, 4000
         p_true = 0.3
-        hits = 0
         xs = rng.binomial(n, p_true, size=trials)
-        for x in xs:
-            if cp_interval(int(x), n, level).contains(p_true):
-                hits += 1
+        iv = cp_interval(xs, n, level)
+        hits = np.count_nonzero((iv.lo <= p_true) & (p_true <= iv.hi))
         target = 1 - level
         sigma = math.sqrt(level * (1 - level) / trials)
         assert hits / trials >= target - 3 * sigma
@@ -176,7 +191,42 @@ class TestCpInterval:
     def test_contains_and_width(self):
         iv = cp_interval(5, 20, 0.1)
         assert iv.lo < 5 / 20 < iv.hi
-        assert iv.width == pytest.approx(iv.hi - iv.lo)
+
+    def test_scalar_call_gives_0d_endpoints(self):
+        iv = cp_interval(3, 20, 0.05)
+        assert iv.lo.shape == iv.hi.shape == ()
+
+    def test_broadcasts_like_numpy(self):
+        iv = cp_interval(np.arange(6).reshape(2, 3), 10, np.array([0.01, 0.05, 0.1]))
+        assert iv.lo.shape == iv.hi.shape == (2, 3)
+        assert iv.lo[1, 2] == cp_interval(5, 10, 0.1).lo
+
+    def test_array_equals_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(4)
+        n = np.concatenate([[1, 1, 1, 1], rng.integers(1, 30000, size=300)])
+        x = np.concatenate([[0, 1, 0, 1], rng.integers(0, n[4:] + 1)])
+        x[4:40] = 0  # lo = 0 closed form
+        x[40:80] = n[40:80]  # hi = 1 closed form
+        level = np.concatenate([[1e-6, 1e-6, 0.5, 0.5], 10 ** rng.uniform(-9, -0.5, size=300)])
+        iv = cp_interval(x, n, level)
+        entries = list(zip(x.tolist(), n.tolist(), level.tolist()))
+        scalar = [cp_interval(*e) for e in entries]
+        reference = np.array([cp_scalar_reference(*e) for e in entries])
+        for got, calls, ref in ((iv.lo, [s.lo for s in scalar], reference[:, 0]),
+                                (iv.hi, [s.hi for s in scalar], reference[:, 1])):
+            np.testing.assert_array_equal(got.view(np.uint64), np.array(calls).view(np.uint64))
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [(3, 0, 0.1), (-1, 10, 0.1), (11, 10, 0.1),
+                                     (3, 10, 0.0), (3, 10, 1.0), (3, 10, math.nan)])
+    def test_one_bad_entry_raises_like_scalar(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            cp_interval(*bad)
+        cases = [(5, 20, 0.05)] * 7
+        cases[4] = bad
+        x, n, level = (np.array(col) for col in zip(*cases))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+            cp_interval(x, n, level)
 
 
 class TestRiskParams:
