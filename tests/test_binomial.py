@@ -3,8 +3,8 @@
 Oracles are computed independently of the implementation: direct
 extended-precision summation (mpmath) for the CDF, a linear scan for the
 tail inversion, and bisection against the summed CDF for Clopper-Pearson.
-The array form of cp_interval must also equal, bit for bit, the per-entry
-beta quantiles computed one scalar at a time.
+The array forms of cp_interval and binom_k must also equal, bit for bit,
+the per-entry scalar computations they replaced.
 """
 
 import math
@@ -37,6 +37,52 @@ def binom_k_scan_oracle(m: int, rp: RiskParams):
         else:
             break
     return best
+
+
+def tail_cdf_oracle(k: int, m: int, eps: float) -> float:
+    """F(k) at 50 digits, summing P(X = i) downward from i = k.
+
+    Terms follow t_{i-1} = t_i * i / (m - i + 1) * (1 - e) / e and the sum
+    stops once a term is below 1e-30 of the total, so large m stays cheap
+    when k is not far above the mean.
+    """
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eps)
+        ratio = (1 - e) / e
+        term = mpmath.binomial(m, k) * e**k * (1 - e) ** (m - k)
+        total = term
+        tiny = mpmath.mpf(10) ** -30
+        i = k
+        while i > 0 and term > total * tiny:
+            term *= ratio * i / (m - i + 1)
+            total += term
+            i -= 1
+        return float(total)
+
+
+def _scalar_cdf(k: int, m: int, eps: float) -> float:
+    if k == m or eps == 0.0:
+        return 1.0
+    if eps == 1.0:
+        return 0.0
+    return float(special.betainc(m - k, k + 1, 1.0 - eps))
+
+
+def binom_k_scalar_reference(m: int, rp: RiskParams) -> int:
+    """The former scalar inversion: exponential search, then binary search."""
+    if m == 0 or _scalar_cdf(0, m, rp.epsilon) > rp.delta:
+        return -1
+    lo, hi = 0, 1
+    while hi < m and _scalar_cdf(hi, m, rp.epsilon) <= rp.delta:
+        lo = hi
+        hi = min(2 * hi, m)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _scalar_cdf(mid, m, rp.epsilon) <= rp.delta:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def cp_bisect_oracle(x: int, n: int, level: float) -> tuple[float, float]:
@@ -105,6 +151,55 @@ class TestBinomCdf:
         vals = [binom_cdf(k, 40, 0.3) for k in range(41)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
+    def test_scalar_call_gives_0d_result(self):
+        assert binom_cdf(3, 20, 0.1).shape == ()
+
+    def test_broadcasts_like_numpy(self):
+        k = np.arange(6).reshape(2, 3)
+        eps = np.array([0.1, 0.2, 1.0])
+        cdf = binom_cdf(k, 5, eps)
+        assert cdf.shape == (2, 3)
+        for (i, j), val in np.ndenumerate(cdf):
+            assert val == _scalar_cdf(int(k[i, j]), 5, float(eps[j]))
+
+    @pytest.mark.parametrize("bad", [(-1, 10, 0.1), (11, 10, 0.1), (3, 10, -0.5),
+                                     (3, 10, 1.5), (3, 10, math.nan)])
+    def test_one_bad_entry_raises_like_scalar(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            binom_cdf(*bad)
+        cases = [(5, 20, 0.05)] * 7
+        cases[4] = bad
+        k, m, eps = (np.array(col) for col in zip(*cases))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+            binom_cdf(k, m, eps)
+
+    @pytest.mark.parametrize("m", [100_000, 1_000_000])
+    def test_large_m_matches_extended_precision(self, m):
+        rng = np.random.default_rng(m)
+        ks, epss = [], []
+        for _ in range(20):
+            eps = float(10 ** rng.uniform(-3, math.log10(0.5)))
+            sd = math.sqrt(m * eps * (1 - eps))
+            # From deep in the lower tail to just above the mean.
+            ks.append(int(np.clip(round(m * eps + rng.uniform(-8, 2) * sd), 0, m)))
+            epss.append(eps)
+        got = binom_cdf(np.array(ks), m, np.array(epss))
+        want = np.array([tail_cdf_oracle(k, m, e) for k, e in zip(ks, epss)])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _table_levels():
+    # Calibration levels of the severe-shift benchmark (K=3), the K=100 CLI
+    # benchmark and tests/test_golden.py, delta / (K(K+1) + 1), then random.
+    levels = [(0.1, 5e-4 / 13), (0.1, 5e-4 / 10101), (0.1, 0.05 / 13)]
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        levels.append((float(rng.uniform(0.005, 0.5)), float(10 ** rng.uniform(-9, -0.7))))
+    return levels
+
+
+TABLE_LEVELS = _table_levels()
+
 
 class TestBinomK:
     def test_trivial_half(self):
@@ -140,6 +235,31 @@ class TestBinomK:
         rp_tight = RiskParams(epsilon=0.1, delta=1e-4)
         rp_loose = RiskParams(epsilon=0.1, delta=1e-2)
         assert binom_k(2000, rp_tight) <= binom_k(2000, rp_loose)
+
+    def test_scalar_call_gives_0d_result(self):
+        k = binom_k(5000, RiskParams(epsilon=0.1, delta=5e-4))
+        assert k.shape == ()
+
+    def test_negative_m_raises(self):
+        with pytest.raises(ValueError, match="m must be nonnegative"):
+            binom_k(np.array([3, -1, 5]), RiskParams(epsilon=0.1, delta=0.1))
+
+    @pytest.mark.parametrize("eps, delta", TABLE_LEVELS)
+    def test_table_equals_scalar_search(self, eps, delta):
+        rp = RiskParams(epsilon=eps, delta=delta)
+        table = binom_k(np.arange(20_001), rp)
+        reference = [binom_k_scalar_reference(n, rp) for n in range(20_001)]
+        np.testing.assert_array_equal(table, reference)
+
+    def test_sandwich_on_table_to_1e5(self):
+        rp = RiskParams(epsilon=0.1, delta=5e-4 / 13)
+        m = np.arange(100_001)
+        k = binom_k(m, rp)
+        none = k < 0
+        assert np.all(binom_cdf(0, m[none], rp.epsilon) > rp.delta)
+        assert np.all(binom_cdf(k[~none], m[~none], rp.epsilon) <= rp.delta)
+        below_m = k < m
+        assert np.all(binom_cdf(k[below_m] + 1, m[below_m], rp.epsilon) > rp.delta)
 
 
 class TestCpInterval:

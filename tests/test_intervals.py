@@ -235,6 +235,16 @@ class TestShapes:
         with pytest.raises(ValueError, match="lo must be <= hi"):
             Interval(np.ones(2), np.zeros(2))
 
+    def test_nan_endpoints_raise(self):
+        with pytest.raises(ValueError, match="lo must be <= hi"):
+            Interval([np.nan], [np.nan])
+        with pytest.raises(ValueError, match="lo must be <= hi"):
+            Interval([0.0, 0.5], [1.0, np.nan])
+
+    def test_nan_coefficient_raises_instead_of_nan_box(self):
+        with pytest.raises(ValueError, match="lo must be <= hi"):
+            interval_gauss_elim(Interval.exact([[1, np.nan], [0.5, 1]]), Interval.exact([1, 1]))
+
 
 class TestWeightBox:
     def test_envelope_is_max_hi(self):
@@ -247,3 +257,9 @@ class TestWeightBox:
     def test_rejects_nonpositive_upper(self):
         with pytest.raises(ValueError):
             WeightBox([-1.0, 0.1], [0.0, 1.0])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="lo must be <= hi"):
+            WeightBox([0.0, np.nan], [1.0, np.nan])
+        with pytest.raises(ValueError, match="lo must be <= hi"):
+            WeightBox([0.0, 0.5], [1.0, np.nan])

@@ -71,12 +71,13 @@ def psw_brute_force(src, v, box, rp):
     return best
 
 
-def random_instance(rng, m=None):
+def random_instance(rng, m=None, ties=False):
     m = m or int(rng.integers(4, 21))
     scores = rng.dirichlet(np.ones(2), size=m)
     labels = rng.integers(0, 2, size=m)
     src = ScoreTable(scores=scores, labels=labels)
-    v = AcceptanceRandomness(v=rng.uniform(size=m))
+    # With ties, v takes four values, so many rows share one v * b.
+    v = AcceptanceRandomness(v=rng.integers(0, 4, size=m) / 4 if ties else rng.uniform(size=m))
     lo = rng.uniform(-0.3, 0.6, size=2)
     hi = lo + rng.uniform(0.3, 1.5, size=2)
     box = WeightBox(lo, hi)
@@ -170,8 +171,11 @@ class TestPswThreshold:
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(25)
-        for _ in range(60):
-            src, v, box, rp = random_instance(rng)
+        instances = [random_instance(rng, ties=ties) for ties in [False] * 60 + [True] * 60]
+        # Every v equal: the whole label accepts or rejects as one tie group.
+        src, _, box, rp = random_instance(rng)
+        instances.append((src, AcceptanceRandomness(v=np.full(src.n, 0.5)), box, rp))
+        for src, v, box, rp in instances:
             res = psw_threshold(src, v, box, rp)
             assert res.tau == psw_brute_force(src, v, box, rp)
 
