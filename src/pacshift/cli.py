@@ -60,13 +60,31 @@ def _bad_labels(labels: np.ndarray, k: int) -> np.ndarray:
     return ~((labels == np.floor(labels)) & (labels >= 0) & (labels < k))
 
 
-def _first_bad_line(path: str, data, width: int, k: int, labeled: bool) -> DataError:
-    """Re-check data lines one at a time and describe the first bad one.
+def _kept_lines(path: str):
+    """Yield (physical line number, line) for each line that is not skipped.
+
+    The file is read one line at a time with universal newlines; empty
+    lines and lines starting with '#' are skipped.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line and line[0] != "#":
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _first_bad_line(path: str, width: int, k: int, labeled: bool) -> DataError:
+    """Re-read the data lines one at a time and describe the first bad one.
 
     Only runs after the bulk parse has failed, so error messages can name
     the physical line.
     """
-    for lineno, line in data:
+    for lineno, line in itertools.islice(_kept_lines(path), 1, None):
         where = f"{path}:{lineno}"
         got = len(next(csv.reader([line])))
         if got != width:
@@ -91,36 +109,43 @@ def read_scores(path: str) -> ScoreTable:
     starting with '#' are skipped; row order is preserved.  Errors name the
     physical line number.  Data lines are parsed in one pass with NumPy's
     float grammar: a cell it accepts gets the value ``float()`` gives it,
-    bit for bit, but ``_`` digit separators are rejected.
+    bit for bit, but ``_`` digit separators are rejected.  The file is
+    streamed, so no copy of its text is held beside the parsed table.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    kept = [(n, line) for n, line in enumerate(lines, start=1) if line and line[0] != "#"]
-    if not kept:
+    kept = _kept_lines(path)
+    first = next(kept, None)
+    if first is None:
         raise DataError(f"{path}: empty score file")
-    header = [h.strip() for h in next(csv.reader([kept[0][1]]))]
+    header = [h.strip() for h in next(csv.reader([first[1]]))]
     labeled = header[0] == "label"
     score_cols = header[1:] if labeled else header
     if score_cols != [f"s{i}" for i in range(len(score_cols))] or len(score_cols) < 2:
         raise DataError(f"{path}: bad header {header!r}")
     k = len(score_cols)
-    data = kept[1:]
-    if not data:
+    # An empty input would make np.loadtxt warn instead of failing.
+    first_row = next(kept, None)
+    if first_row is None:
         raise DataError(f"{path}: no data rows")
+    rows = 0
+
+    def counted():
+        nonlocal rows
+        for _, line in itertools.chain([first_row], kept):
+            rows += 1
+            yield line
+
     try:
-        cells = _parse_rows([line for _, line in data])
+        cells = _parse_rows(counted())
     except ValueError:
         cells = None
-    if cells is None or cells.shape != (len(data), len(header)):
-        raise _first_bad_line(path, data, len(header), k, labeled)
+    if cells is None or cells.shape != (rows, len(header)):
+        raise _first_bad_line(path, len(header), k, labeled)
     labels = None
     if labeled:
         bad = np.flatnonzero(_bad_labels(cells[:, 0], k))
         if bad.size:
-            raise DataError(f"{path}:{data[bad[0]][0]}: label out of range")
+            lineno, _ = next(itertools.islice(_kept_lines(path), bad[0] + 1, None))
+            raise DataError(f"{path}:{lineno}: label out of range")
         labels = cells[:, 0].astype(int)
         cells = cells[:, 1:]
     try:

@@ -87,12 +87,20 @@ class SyntheticModel:
         return self.class_centers.shape[0]
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        """Softmax over labels of -||x - center||^2 / temperature."""
-        d2 = ((x[:, None, :] - self.class_centers[None, :, :]) ** 2).sum(axis=2)
-        logits = -d2 / self.temperature
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        return e / e.sum(axis=1, keepdims=True)
+        """Softmax over labels of -||x - center||^2 / temperature.
+
+        The computation is in place: besides the (N, K) result it holds only
+        the (N, K, D) differences, which are freed before the softmax.
+        """
+        diff = x[:, None, :] - self.class_centers[None, :, :]
+        out = np.square(diff, out=diff).sum(axis=2)
+        del diff
+        np.negative(out, out=out)
+        out /= self.temperature
+        out -= out.max(axis=1, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=1, keepdims=True)
+        return out
 
     def draw(self, dist: np.ndarray, size: int, rng, labeled: bool = True) -> ScoreTable:
         y = rng.choice(self.k, size=size, p=dist)

@@ -29,13 +29,24 @@ def cdf_oracle(k: int, m: int, eps: float) -> float:
 
 
 def binom_k_scan_oracle(m: int, rp: RiskParams):
-    """Largest k with F(k) <= delta by linear scan, using the summed CDF."""
+    """Largest k with F(k) <= delta by linear scan, using the summed CDF.
+
+    F(k) is a running sum at 60 significant digits whose terms follow
+    t_{k+1} = t_k (m-k)/(k+1) e/(1-e), so the scan is linear in k.
+    """
     best = None
-    for k in range(m + 1):
-        if cdf_oracle(k, m, rp.epsilon) <= rp.delta:
-            best = k
-        else:
-            break
+    with mpmath.workdps(60):
+        e = mpmath.mpf(rp.epsilon)
+        ratio = e / (1 - e)
+        term = (1 - e) ** m
+        total = term
+        for k in range(m + 1):
+            if float(total) <= rp.delta:
+                best = k
+            else:
+                break
+            term *= ratio * (m - k) / (k + 1)
+            total += term
     return best
 
 

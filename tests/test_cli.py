@@ -6,6 +6,7 @@ Covers the CSV round trip (including a fuzz pass), the exit-code contract
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ class TestScoreRoundTrip:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="empty score file"):
             read_scores(str(p))
 
     def test_missing_file(self, tmp_path):
@@ -113,10 +114,23 @@ class TestScoreRoundTrip:
         with pytest.raises(DataError):
             read_scores(str(p))
 
+    def test_peak_memory_stays_near_table_size(self, tmp_path):
+        # The file is streamed: no copy of its text or list of its lines is
+        # held beside the parsed table.
+        rng = np.random.default_rng(75)
+        path = write_fixture(tmp_path / "big.csv", make_table(rng, 5000, 100))
+        tracemalloc.start()
+        try:
+            got = read_scores(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (got.scores.nbytes + got.labels.nbytes)
+
     def test_header_only(self, tmp_path):
         p = tmp_path / "h.csv"
         p.write_text("s0,s1\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="no data rows"):
             read_scores(str(p))
 
 
@@ -189,6 +203,22 @@ class TestCalibrateCommand:
                      "--source", src, "--target", tgt])
         assert code == EXIT_DATA
         assert "true-label scores must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["--source", "--target"])
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys, which, where):
+        src, tgt = self._fixture(tmp_path)
+        path = src if which == "--source" else tgt
+        raw = open(path, "rb").read().split(b"\n")
+        # Line 1 is the version tag, line 2 the header; the last row is far
+        # enough into the file to be decoded while NumPy parses.
+        at = 1 if where == "header" else -2
+        raw[at] = raw[at].replace(b",", b"\xff,", 1)
+        open(path, "wb").write(b"\n".join(raw))
+        code = main(["calibrate", "--epsilon", "0.2", "--delta", "0.05",
+                     "--source", src, "--target", tgt])
+        assert code == EXIT_DATA
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
 
     def test_abort_exit_code(self, tmp_path):
         # Source whose classifier never predicts class 1: singular confusion.

@@ -6,6 +6,8 @@ distributions, and the class-conditional score distributions are identical
 between source and target draws (the label-shift assumption itself).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,6 +17,15 @@ from pacshift import ShiftSpec, SyntheticModel, sample_shifted, true_weights, tw
 
 def small_model():
     return SyntheticModel(class_centers=[[0.0], [2.0], [4.0]], noise_scale=1.0)
+
+
+def score_reference(model, x):
+    """The scorer as it was written before it worked in place."""
+    d2 = ((x[:, None, :] - model.class_centers[None, :, :]) ** 2).sum(axis=2)
+    logits = -d2 / model.temperature
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 class TestTweakOne:
@@ -108,6 +119,43 @@ class TestSyntheticModel:
         err0 = np.mean(pred[table.labels == 0] != 0)
         err1 = np.mean(pred[table.labels == 1] != 1)
         assert err0 < 0.01 < 0.2 < err1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    @pytest.mark.parametrize("k", [2, 3, 100])
+    def test_scores_equal_reference_bitwise(self, dim, k):
+        # Draws are repeated with the same seed to rebuild the features that
+        # draw() scored; per-label noise, and a temperature small enough that
+        # the far labels' logits underflow to 0.
+        rng = np.random.default_rng(1000 * dim + k)
+        centers = 3.0 * rng.standard_normal((k, dim))
+        noise = rng.uniform(0.2, 4.0, size=k)
+        dist = rng.dirichlet(np.ones(k))
+        for temperature in (0.01, 1.0, 430.0):
+            model = SyntheticModel(centers, noise, temperature)
+            table = model.draw(dist, 300, np.random.default_rng(7))
+            rng2 = np.random.default_rng(7)
+            y = rng2.choice(k, size=300, p=dist)
+            x = centers[y] + noise[y, None] * rng2.standard_normal((300, dim))
+            want = score_reference(model, x)
+            np.testing.assert_array_equal(table.labels, y)
+            assert table.scores.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            assert model.score(x).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            if temperature == 0.01:
+                assert np.any(want == 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_peak_memory(self, dim):
+        # Besides its output the scorer holds only the (N, K, D) differences.
+        rng = np.random.default_rng(54)
+        model = SyntheticModel(rng.standard_normal((100, dim)), 1.0, 8.0)
+        x = rng.standard_normal((5000, dim))
+        tracemalloc.start()
+        try:
+            out = model.score(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (dim + 1.5) * out.nbytes
 
     def test_invalid_noise_scale(self):
         with pytest.raises(ValueError):
