@@ -81,8 +81,8 @@ def _kept_lines(path: str):
 def _first_bad_line(path: str, width: int, k: int, labeled: bool) -> DataError:
     """Re-read the data lines one at a time and describe the first bad one.
 
-    Only runs after the bulk parse has failed, so error messages can name
-    the physical line.
+    Only runs after the bulk parse has failed or found a bad label, so
+    error messages can name the physical line.
     """
     for lineno, line in itertools.islice(_kept_lines(path), 1, None):
         where = f"{path}:{lineno}"
@@ -138,14 +138,14 @@ def read_scores(path: str) -> ScoreTable:
         cells = _parse_rows(counted())
     except ValueError:
         cells = None
-    if cells is None or cells.shape != (rows, len(header)):
+    if (
+        cells is None
+        or cells.shape != (rows, len(header))
+        or (labeled and _bad_labels(cells[:, 0], k).any())
+    ):
         raise _first_bad_line(path, len(header), k, labeled)
     labels = None
     if labeled:
-        bad = np.flatnonzero(_bad_labels(cells[:, 0], k))
-        if bad.size:
-            lineno, _ = next(itertools.islice(_kept_lines(path), bad[0] + 1, None))
-            raise DataError(f"{path}:{lineno}: label out of range")
         labels = cells[:, 0].astype(int)
         cells = cells[:, 1:]
     try:

@@ -45,8 +45,7 @@ class Interval:
         return cls(a.copy(), a.copy())
 
 
-@dataclass
-class WeightBox:
+class WeightBox(Interval):
     """Per-label interval [lo_k, hi_k] around the importance weights.
 
     Lower bounds from elimination are >= 0; ``clamped_lo`` also clips boxes
@@ -54,14 +53,8 @@ class WeightBox:
     bound used for rejection sampling and the conservative risk inflation.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
-
     def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-        if not np.all(self.lo <= self.hi):
-            raise ValueError("lo must be <= hi elementwise")
+        super().__post_init__()
         if not np.all(self.hi > 0):
             raise ValueError("weight upper bounds must be positive")
 

@@ -10,9 +10,11 @@ Calibrators:
 * ``ps_threshold``   - unshifted PAC threshold from the binomial tail bound.
 * ``psw_threshold``  - worst-case threshold over a weight box: the minimum,
   over all weight vectors in the box, of the PAC threshold computed on the
-  rejection-sampled source.  Computed exactly via a per-label breakpoint /
-  dynamic-programming scheme (acceptance patterns are piecewise constant in
-  the weights, so finitely many cells cover the box).
+  rejection-sampled source.  The sampler accepts a row iff
+  ``v <= w[y] / b``, so rows with tied v are accepted together and each
+  label's accepted rows form a prefix in v order.  Computed exactly via a
+  per-label breakpoint / dynamic-programming scheme over exactly the
+  sampler's cells (finitely many cover the box).
 * ``psc_threshold``  - conservative baseline: inflate the error budget by
   the envelope bound b and calibrate unweighted.
 * ``psr_threshold``  - rejection sampling with plug-in weights, ignoring
@@ -24,6 +26,7 @@ Calibrators:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -94,8 +97,10 @@ def rejection_sample(
 ) -> np.ndarray:
     """Indices of source rows accepted with probability w[y_i] / b.
 
-    Row i is accepted iff v_i <= w[y_i] / b.  Negative weights are clamped
-    to zero (never accept).
+    Row i is accepted iff v_i <= w[y_i] / b, so rows of one label with tied
+    v are accepted together.  This is the only acceptance rule: PS-W's
+    worst case ranges over the cells it produces.  Negative weights are
+    clamped to zero (never accept).
     """
     if b <= 0:
         raise ValueError("envelope b must be positive")
@@ -110,29 +115,25 @@ def rejection_sample(
 def _per_label_acceptance(src, v, box):
     """Per-label acceptance structure for the worst-case minimization.
 
-    For label k, acceptance under any w_k in the box is a prefix of the
-    label's rows sorted by v.  Returns, per label, the achievable prefix
-    lengths (respecting ties in v * b) and the v-sorted true-label scores.
+    For label k, ``rejection_sample`` at any w_k in the box accepts a prefix
+    of the label's rows sorted by v; rows with tied v accept together.  The
+    shortest and longest prefixes are the sampler's own counts at the box's
+    corners.  Returns, per label, the achievable prefix lengths (the tie
+    group ends in between) and the v-sorted true-label scores.
     """
     b = box.envelope_b
-    w_lo = box.clamped_lo()
-    w_hi = box.hi
+    a_min = np.bincount(src.labels[rejection_sample(src, v, box.lo, b)], minlength=src.k)
+    a_max = np.bincount(src.labels[rejection_sample(src, v, box.hi, b)], minlength=src.k)
     s_true = src.true_scores()
-    thresholds = v.v * b
     per_label = []
     for k in range(src.k):
         idx = np.flatnonzero(src.labels == k)
-        tk = thresholds[idx]
-        order = np.argsort(tk, kind="stable")
-        tk = tk[order]
-        sk = s_true[idx][order]
-        a_min = int(np.searchsorted(tk, w_lo[k], side="right"))
-        a_max = int(np.searchsorted(tk, w_hi[k], side="right"))
-        # Tied v values accept together; only tie-group boundaries count:
-        # prefix length a ends a group iff a == len(tk) or tk[a] > tk[a-1].
-        ends_group = np.append(tk[1:] > tk[:-1], True)
-        a = np.arange(a_min + 1, a_max + 1)
-        per_label.append((np.concatenate(([a_min], a[ends_group[a - 1]])), sk))
+        idx = idx[np.argsort(v.v[idx], kind="stable")]
+        vk, sk = v.v[idx], s_true[idx]
+        # Prefix length a ends a tie group iff a == len(vk) or vk[a] > vk[a-1].
+        ends_group = np.append(vk[1:] > vk[:-1], True)
+        a = np.arange(a_min[k] + 1, a_max[k] + 1)
+        per_label.append((np.concatenate(([a_min[k]], a[ends_group[a - 1]])), sk))
     return per_label
 
 
@@ -143,10 +144,11 @@ def psw_threshold(
 
     A candidate tau is attainable iff for every feasible acceptance pattern
     the accepted error count stays within the binomial bound at the
-    accepted sample size.  Per label the feasible patterns are v-sorted
-    prefixes between two breakpoint counts; a DP over labels gives the
-    worst total error for each total accepted count, and a binary search
-    over the (monotone) candidate grid finds the largest attainable tau.
+    accepted sample size.  Per label the feasible patterns are the
+    ``rejection_sample`` prefixes (v <= w_k / b) between the box's two
+    corners; a DP over labels gives the worst total error for each total
+    accepted count, and a bisection over the (monotone) candidate grid
+    finds the first failing tau, whose predecessor is the answer.
     """
     if isinstance(box, Aborted):
         return aborted_result()
@@ -176,16 +178,10 @@ def psw_threshold(
 
     candidates = np.unique(src.true_scores())
     # fails() is monotone in tau: raising tau only adds errors.
-    if fails(candidates[0]):
+    first_fail = bisect.bisect_left(candidates, True, key=fails)
+    if first_fail == 0:
         return full_set_result()
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if fails(candidates[mid]):
-            hi = mid - 1
-        else:
-            lo = mid
-    return ThresholdResult(tau=float(candidates[lo]), status=CALIBRATED)
+    return ThresholdResult(tau=float(candidates[first_fail - 1]), status=CALIBRATED)
 
 
 def psc_threshold(

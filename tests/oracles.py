@@ -1,0 +1,55 @@
+"""Brute-force oracles shared by the calibrator tests.
+
+Each is computed independently of the library: the binomial tail by
+scipy's CDF scan, and PS-W by enumerating every acceptance cell of the
+rejection sampler.  Both are slow and meant for tiny instances only.
+"""
+
+import itertools
+import math
+
+import numpy as np
+from scipy import stats
+
+
+def binom_k_oracle(m, rp):
+    """Largest k with binom.cdf(k, m, eps) <= delta, or None if none."""
+    best = None
+    for k in range(m + 1):
+        if stats.binom.cdf(k, m, rp.epsilon) <= rp.delta:
+            best = k
+        else:
+            break
+    return best
+
+
+def ps_oracle(true_scores, rp):
+    """PS threshold: the (k+1)-th smallest true-label score, or -inf."""
+    k = binom_k_oracle(len(true_scores), rp)
+    if k is None:
+        return -math.inf
+    return float(np.sort(true_scores)[k])
+
+
+def psw_brute_force(src, v, box, rp):
+    """Exact min of the PS threshold over every acceptance cell of the box.
+
+    The rejection sampler accepts row i iff v_i <= w[y_i] / b, so label k
+    accepts {v_i <= t} for a limit t between max(lo_k, 0) / b and hi_k / b.
+    That set changes only where t passes some v_i, so the limits
+    {max(lo_k, 0) / b, hi_k / b} and every v_i strictly above the first and
+    at most the second give all of label k's cells.
+    """
+    b = box.envelope_b
+    s_true = src.true_scores()
+    per_label = []
+    for k in range(src.k):
+        idx = np.flatnonzero(src.labels == k)
+        t_lo, t_hi = max(box.lo[k], 0.0) / b, box.hi[k] / b
+        limits = {t_lo, t_hi} | {t for t in v.v[idx] if t_lo < t <= t_hi}
+        per_label.append({frozenset(idx[v.v[idx] <= t].tolist()) for t in limits})
+    best = math.inf
+    for combo in itertools.product(*per_label):
+        rows = sorted(set().union(*combo))
+        best = min(best, ps_oracle(s_true[rows], rp))
+    return best

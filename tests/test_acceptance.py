@@ -10,7 +10,6 @@ Each test prints a single PASS/FAIL line for its criterion:
 6. The failure-probability budget is fully accounted for.
 """
 
-import itertools
 import json
 import math
 import time
@@ -18,7 +17,6 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from scipy import stats
 
 from pacshift import (
     AcceptanceRandomness,
@@ -42,6 +40,8 @@ from pacshift import (
 )
 from pacshift import cli, harness, weights
 from pacshift.cli import write_scores
+
+from oracles import psw_brute_force
 
 
 def report(capsys, name, ok, detail=""):
@@ -164,39 +164,6 @@ def test_criterion_2_interval_containment(capsys):
     )
 
 
-def _psw_brute_force(src, v, box, rp):
-    """Exhaustive min over acceptance cells, fully independent of psw_threshold."""
-
-    def ps_oracle(scores):
-        best = None
-        for k in range(len(scores) + 1):
-            if stats.binom.cdf(k, len(scores), rp.epsilon) <= rp.delta:
-                best = k
-            else:
-                break
-        if best is None:
-            return -math.inf
-        return float(np.sort(scores)[best])
-
-    b = box.envelope_b
-    s_true = src.true_scores()
-    per_label = []
-    for k in range(src.k):
-        idx = np.flatnonzero(src.labels == k)
-        lo, hi = max(box.lo[k], 0.0), box.hi[k]
-        cands = {lo, hi}
-        for t in v.v[idx] * b:
-            if lo < t <= hi:
-                cands.add(t)
-        cells = {frozenset(idx[v.v[idx] * b <= wk].tolist()) for wk in cands}
-        per_label.append(cells)
-    best = math.inf
-    for combo in itertools.product(*per_label):
-        rows = sorted(set().union(*combo))
-        best = min(best, ps_oracle(s_true[rows]))
-    return best
-
-
 def test_criterion_3_worst_case_vs_brute_force(capsys):
     start = time.monotonic()
     rng = np.random.default_rng(102)
@@ -213,7 +180,7 @@ def test_criterion_3_worst_case_vs_brute_force(capsys):
             epsilon=float(rng.uniform(0.2, 0.6)), delta=float(rng.uniform(0.3, 0.8))
         )
         res = psw_threshold(src, v, box, rp)
-        if res.tau != _psw_brute_force(src, v, box, rp):
+        if res.tau != psw_brute_force(src, v, box, rp):
             mismatches += 1
     elapsed = time.monotonic() - start
     ok = mismatches == 0 and elapsed < 60

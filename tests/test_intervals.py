@@ -232,6 +232,9 @@ class TestShapes:
     def test_interval_endpoints_must_agree(self):
         with pytest.raises(ValueError, match="same shape"):
             Interval(np.zeros(2), np.ones(3))
+        with pytest.raises(ValueError, match="same shape"):
+            # Unchecked, contains([0.6] * 3) would broadcast and say True.
+            WeightBox([0.5], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="lo must be <= hi"):
             Interval(np.ones(2), np.zeros(2))
 

@@ -6,7 +6,6 @@ weight, so scanning every breakpoint of every label and taking the min
 threshold over the product of cells is an exact (if slow) oracle.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -30,45 +29,7 @@ from pacshift import (
 )
 from pacshift.predsets import ABORTED, CALIBRATED, FULL_SET, aborted_result, full_set_result
 
-
-def binom_k_oracle(m, rp):
-    """Independent tail inversion via scipy's binomial CDF."""
-    best = None
-    for k in range(m + 1):
-        if stats.binom.cdf(k, m, rp.epsilon) <= rp.delta:
-            best = k
-        else:
-            break
-    return best
-
-
-def ps_oracle(true_scores, rp):
-    """Independent PS threshold: (k+1)-th smallest score or -inf."""
-    k = binom_k_oracle(len(true_scores), rp)
-    if k is None:
-        return -math.inf
-    return float(np.sort(true_scores)[k])
-
-
-def psw_brute_force(src, v, box, rp):
-    """Exact min over all acceptance cells of the box (tiny instances only)."""
-    b = box.envelope_b
-    s_true = src.true_scores()
-    per_label = []
-    for k in range(src.k):
-        idx = np.flatnonzero(src.labels == k)
-        lo, hi = max(box.lo[k], 0.0), box.hi[k]
-        cands = {lo, hi}
-        for t in v.v[idx] * b:
-            if lo < t <= hi:
-                cands.add(t)
-        cells = {frozenset(idx[v.v[idx] * b <= wk].tolist()) for wk in cands}
-        per_label.append(cells)
-    best = math.inf
-    for combo in itertools.product(*per_label):
-        rows = sorted(set().union(*combo))
-        best = min(best, ps_oracle(s_true[rows], rp))
-    return best
+from oracles import ps_oracle, psw_brute_force
 
 
 def random_instance(rng, m=None, ties=False):
@@ -76,13 +37,30 @@ def random_instance(rng, m=None, ties=False):
     scores = rng.dirichlet(np.ones(2), size=m)
     labels = rng.integers(0, 2, size=m)
     src = ScoreTable(scores=scores, labels=labels)
-    # With ties, v takes four values, so many rows share one v * b.
+    # With ties, v takes four values, so many rows share one limit.
     v = AcceptanceRandomness(v=rng.integers(0, 4, size=m) / 4 if ties else rng.uniform(size=m))
     lo = rng.uniform(-0.3, 0.6, size=2)
     hi = lo + rng.uniform(0.3, 1.5, size=2)
     box = WeightBox(lo, hi)
     rp = RiskParams(epsilon=float(rng.uniform(0.2, 0.6)), delta=float(rng.uniform(0.3, 0.8)))
     return src, v, box, rp
+
+
+def planted_boundary_instance(rng):
+    """A singleton-box instance with a label-0 row planted just past w[0] / b.
+
+    The sampler rejects that row, since its v exceeds w[0] / b, yet v times
+    b rounds down to w[0]: a rule that tested the product would accept it.
+    """
+    while True:
+        src, v, _, rp = random_instance(rng, m=int(rng.integers(20, 80)))
+        w = rng.uniform(0.3, 1.5, size=2)
+        b = w.max()
+        rows = np.flatnonzero(src.labels == 0)
+        planted = np.nextafter(w[0] / b, np.inf)
+        if rows.size and planted <= 1 and planted * b <= w[0]:
+            v.v[rows[0]] = planted
+            return src, v, w, rp
 
 
 class TestPsThreshold:
@@ -160,13 +138,14 @@ class TestRejectionSample:
 class TestPswThreshold:
     def test_singleton_box_equals_rejection_plus_ps(self):
         rng = np.random.default_rng(24)
+        instances = []
         for _ in range(20):
             src, v, _, rp = random_instance(rng, m=int(rng.integers(20, 80)))
-            w = rng.uniform(0.3, 1.5, size=2)
-            box = WeightBox(w, w)
-            res = psw_threshold(src, v, box, rp)
-            idx = rejection_sample(src, v, w, box.envelope_b)
-            ref = ps_threshold(src.subset(idx), rp)
+            instances.append((src, v, rng.uniform(0.3, 1.5, size=2), rp))
+        instances += [planted_boundary_instance(rng) for _ in range(10)]
+        for src, v, w, rp in instances:
+            res = psw_threshold(src, v, WeightBox(w, w), rp)
+            ref = psr_threshold(src, v, w, rp)
             assert res.tau == ref.tau and res.status == ref.status
 
     def test_matches_brute_force_on_random_instances(self):
