@@ -37,6 +37,7 @@ from .weights import (
 )
 
 METHODS = ("PS", "PS-W", "PS-C", "PS-R", "WCP", "ORACLE")
+QUANTILES = (0, 25, 50, 75, 100)  # percentiles reported by ``aggregate``
 
 
 @dataclass
@@ -142,11 +143,10 @@ def aggregate(reports, epsilon: float) -> dict:
         rows = [r for r in reports if r.method == method]
         errors = np.array([r.error for r in rows])
         sizes = np.array([r.avg_size for r in rows])
-        qs = [0, 25, 50, 75, 100]
         summary[method] = {
             "trials": len(rows),
-            "error_quantiles": {q: float(np.percentile(errors, q)) for q in qs},
-            "size_quantiles": {q: float(np.percentile(sizes, q)) for q in qs},
+            "error_quantiles": {q: float(np.percentile(errors, q)) for q in QUANTILES},
+            "size_quantiles": {q: float(np.percentile(sizes, q)) for q in QUANTILES},
             "mean_error": float(errors.mean()),
             "mean_size": float(sizes.mean()),
             "violations": int(np.count_nonzero(errors > epsilon)),

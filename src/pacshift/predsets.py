@@ -69,7 +69,7 @@ class AcceptanceRandomness:
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=float)
-        if np.any((self.v < 0) | (self.v > 1)):
+        if not np.all((0 <= self.v) & (self.v <= 1)):
             raise ValueError("acceptance uniforms must lie in [0, 1]")
 
     @classmethod
@@ -105,6 +105,8 @@ def rejection_sample(
     if b <= 0:
         raise ValueError("envelope b must be positive")
     w = np.clip(np.asarray(w, dtype=float), 0.0, None)
+    if w.shape != (src.k,):
+        raise ValueError(f"need one weight per label, got shape {w.shape} for K={src.k}")
     if np.any(w > b * (1 + 1e-12)):
         raise ValueError("weights must not exceed the envelope b")
     if len(v.v) != src.n:
@@ -173,8 +175,8 @@ def psw_threshold(
                 shifted = np.where(seg < 0, -1, seg + e)
                 np.maximum(new_dp[a:], shifted, out=new_dp[a:])
             dp = new_dp
-        reachable = dp >= 0
-        return bool(np.any(reachable & ((kbin < 0) | (dp > kbin))))
+        # Unreachable sizes hold -1 and kbin >= -1, so only reachable ones fail.
+        return bool(np.any(dp > kbin))
 
     candidates = np.unique(src.true_scores())
     # fails() is monotone in tau: raising tau only adds errors.

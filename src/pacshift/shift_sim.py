@@ -22,7 +22,8 @@ _SIMPLEX_TOL = 1e-12
 def _check_simplex(p: np.ndarray, name: str):
     if p.ndim != 1 or len(p) < 2:
         raise ValueError(f"{name} must be a vector with K >= 2")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > _SIMPLEX_TOL:
+    # Written as not-all so that NaN entries are rejected too.
+    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= _SIMPLEX_TOL):
         raise ValueError(f"{name} must be a probability vector summing to 1")
 
 
@@ -77,9 +78,12 @@ class SyntheticModel:
         self.noise_scale = np.broadcast_to(
             np.asarray(self.noise_scale, dtype=float), (self.k,)
         ).copy()
-        if np.any(self.noise_scale <= 0):
-            raise ValueError("noise_scale must be positive")
-        if self.temperature <= 0:
+        if not np.all(np.isfinite(self.class_centers)):
+            raise ValueError("class centers must be finite")
+        # Written as not-all so that NaN values are rejected too.
+        if not np.all((0 < self.noise_scale) & (self.noise_scale < np.inf)):
+            raise ValueError("noise_scale must be positive and finite")
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
 
     @property

@@ -19,12 +19,18 @@ from pacshift import RiskParams, binom_cdf, binom_k, cp_interval
 
 
 def cdf_oracle(k: int, m: int, eps: float) -> float:
-    """Direct summation of the binomial CDF at 60 significant digits."""
+    """Direct summation of the binomial CDF at 60 significant digits.
+
+    Terms follow t_{i+1} = t_i (m-i)/(i+1) e/(1-e) from t_0 = (1-e)^m.
+    """
     with mpmath.workdps(60):
         e = mpmath.mpf(eps)
-        total = mpmath.mpf(0)
-        for i in range(k + 1):
-            total += mpmath.binomial(m, i) * e**i * (1 - e) ** (m - i)
+        ratio = e / (1 - e)
+        term = (1 - e) ** m
+        total = term
+        for i in range(k):
+            term *= ratio * (m - i) / (i + 1)
+            total += term
         return float(total)
 
 

@@ -305,6 +305,23 @@ class TestExperimentCommand:
         assert "m, n and o must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old,new", [
+        ("source_dist = 0.2,0.2,0.6", "source_dist = 0.2,nan,0.6"),
+        ("target_dist = 0.05,0.05,0.9", "target_dist = nan,0.05,0.9"),
+        ("noise_scale = 1,1,36", "noise_scale = 1,nan,36"),
+        ("noise_scale = 1,1,36", "noise_scale = 1,inf,36"),
+        ("temperature = 430", "temperature = nan"),
+        ("centers = -6;6;0", "centers = -6;nan;0"),
+    ], ids=["source_dist", "target_dist", "noise_scale", "noise_scale-inf", "temperature",
+            "centers"])
+    def test_non_finite_scenario_value_is_config_error(self, tmp_path, capsys, old, new):
+        code = main(["experiment", "--epsilon", "0.2", "--delta", "0.05",
+                     "--scenario", self._scenario(tmp_path, SCENARIO.replace(old, new)),
+                     "--trials", "1", "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_method_rejected(self, tmp_path, capsys):
         with_bad = ["experiment", "--epsilon", "0.2", "--delta", "0.05",
                     "--scenario", self._scenario(tmp_path), "--method", "PS-X"]

@@ -201,17 +201,48 @@ class TestContainment:
 
 
 class TestAborts:
-    def test_nonpositive_diagonal_aborts(self):
-        c = Interval(np.array([[0.0, 0.0], [0.0, 0.5]]), np.eye(2))
-        out = interval_gauss_elim(c, Interval.exact([0.5, 0.5]))
-        assert isinstance(out, Aborted)
-        assert "diagonal" in out.reason
-
-    def test_nonpositive_rhs_aborts(self):
-        c = Interval.exact(np.eye(2))
-        out = interval_gauss_elim(c, Interval(np.array([0.0, 0.5]), np.array([0.5, 0.5])))
-        assert isinstance(out, Aborted)
-        assert "rhs" in out.reason
+    # Each (C, q) pins the exact Aborted(step, reason) that a calibration
+    # report carries as its abort step and reason.
+    @pytest.mark.parametrize("c,q,want", [
+        pytest.param(
+            Interval(np.array([[0.0, 0.0], [0.0, 0.5]]), np.eye(2)),
+            Interval.exact([0.5, 0.5]),
+            Aborted(0, "diagonal lower bound c[0,0] <= 0"),
+            id="diagonal-step0",
+        ),
+        pytest.param(
+            Interval.exact(np.eye(2)),
+            Interval(np.array([0.0, 0.5]), np.array([0.5, 0.5])),
+            Aborted(0, "rhs lower bound q[0] <= 0"),
+            id="rhs-step0",
+        ),
+        pytest.param(  # the eliminated pivot is 1 - 1 = 0
+            Interval.exact([[1, 1], [1, 1]]),
+            Interval.exact([1, 1]),
+            Aborted(1, "diagonal lower bound c[1,1] <= 0"),
+            id="diagonal-step1",
+        ),
+        pytest.param(  # the eliminated right-hand side is 0.5 - 1 < 0
+            Interval.exact([[1, 1], [1, 1.5]]),
+            Interval.exact([1, 0.5]),
+            Aborted(1, "rhs lower bound q[1] <= 0"),
+            id="rhs-step1",
+        ),
+        pytest.param(  # the last pivot of a K=3 system is 1 - 1 = 0
+            Interval.exact([[1, 0, 0], [0, 1, 1], [0, 1, 1]]),
+            Interval.exact([1, 1, 1]),
+            Aborted(2, "diagonal lower bound c[2,2] <= 0"),
+            id="diagonal-step2",
+        ),
+        pytest.param(  # back-substitution: w[0] <= 0.5 - 1 * 1
+            Interval.exact([[1, 1], [0, 1]]),
+            Interval.exact([0.5, 1]),
+            Aborted(1, "nonpositive weight upper bound w[0]"),
+            id="weight-upper-bound",
+        ),
+    ])
+    def test_abort_step_and_reason(self, c, q, want):
+        assert interval_gauss_elim(c, q) == want
 
 
 class TestShapes:

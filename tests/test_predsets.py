@@ -134,6 +134,17 @@ class TestRejectionSample:
         with pytest.raises(ValueError):
             rejection_sample(src, v, np.array([0.5, 0.5]), 0.0)
 
+    @pytest.mark.parametrize("w", [[1.0], [0.5, 0.5, 0.1]])
+    def test_weights_need_one_entry_per_label(self, w):
+        rng = np.random.default_rng(23)
+        src, v, _, _ = random_instance(rng, m=10)
+        with pytest.raises(ValueError, match="one weight per label"):
+            rejection_sample(src, v, np.array(w), 1.0)
+
+    def test_nan_uniform_rejected(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            AcceptanceRandomness(v=[0.5, np.nan])
+
 
 class TestPswThreshold:
     def test_singleton_box_equals_rejection_plus_ps(self):
@@ -182,6 +193,13 @@ class TestPswThreshold:
         src, v, _, rp = random_instance(rng)
         res = psw_threshold(src, v, Aborted(step=1, reason="x"), rp)
         assert res.status == ABORTED
+
+    def test_box_for_another_k_raises(self):
+        # Unchecked, a K=2 source would calibrate with b = 9 from label 2.
+        rng = np.random.default_rng(28)
+        src, v, _, rp = random_instance(rng)
+        with pytest.raises(ValueError, match="one weight per label"):
+            psw_threshold(src, v, WeightBox([0.5, 0.5, 0.1], [1.0, 1.0, 9.0]), rp)
 
 
 class TestPscThreshold:

@@ -81,6 +81,8 @@ class TestShiftSpec:
             ShiftSpec([0.5, 0.6], [0.5, 0.5], 10, 10, 10)
         with pytest.raises(ValueError):
             ShiftSpec([0.5, 0.5], [1.1, -0.1], 10, 10, 10)
+        with pytest.raises(ValueError):
+            ShiftSpec([0.5, np.nan], [0.5, 0.5], 10, 10, 10)
 
     def test_rejects_target_outside_source_support(self):
         with pytest.raises(ValueError):
@@ -162,6 +164,18 @@ class TestSyntheticModel:
             SyntheticModel(class_centers=[[0.0], [4.0]], noise_scale=[1.0, 0.0])
         with pytest.raises(ValueError):
             SyntheticModel(class_centers=[[0.0], [4.0]], noise_scale=[1.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            SyntheticModel(class_centers=[[0.0], [4.0]], noise_scale=[1.0, np.nan])
+        with pytest.raises(ValueError):
+            SyntheticModel(class_centers=[[0.0], [4.0]], noise_scale=[1.0, np.inf])
+
+    def test_non_finite_centers_and_nan_temperature_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticModel(class_centers=[[0.0], [np.nan]])
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticModel(class_centers=[[0.0], [np.inf]])
+        with pytest.raises(ValueError, match="temperature"):
+            SyntheticModel(class_centers=[[0.0], [4.0]], temperature=np.nan)
 
 
 class TestSampleShifted:
