@@ -286,6 +286,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_experiment(args) -> int:
     rp = _risk_params(args)
+    if args.trials < 1:
+        raise ConfigError("--trials must be >= 1")
     spec, model = read_scenario(args.scenario)
     methods = args.method or list(METHODS)
     reports = run_trials(spec, model, methods, rp, args.trials, args.seed)

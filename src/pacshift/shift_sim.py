@@ -17,6 +17,10 @@ import numpy as np
 from .tables import ScoreTable
 
 _SIMPLEX_TOL = 1e-12
+# SyntheticModel.score takes rows in blocks of about this many (row, label,
+# dim) differences (512 KB of float64), so its peak is its output plus one
+# block at any N and D.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _check_simplex(p: np.ndarray, name: str):
@@ -93,12 +97,17 @@ class SyntheticModel:
     def score(self, x: np.ndarray) -> np.ndarray:
         """Softmax over labels of -||x - center||^2 / temperature.
 
-        The computation is in place: besides the (N, K) result it holds only
-        the (N, K, D) differences, which are freed before the softmax.
+        Besides the (N, K) result, the computation holds one block of
+        squared differences at a time; every reduction is within a row, so
+        the result does not depend on the block size.
         """
-        diff = x[:, None, :] - self.class_centers[None, :, :]
-        out = np.square(diff, out=diff).sum(axis=2)
-        del diff
+        k, dim = self.class_centers.shape
+        out = np.empty((len(x), k))
+        rows = max(1, _BLOCK_ELEMENTS // (k * dim))
+        for start in range(0, len(x), rows):
+            diff = x[start : start + rows, None, :] - self.class_centers
+            np.square(diff, out=diff).sum(axis=2, out=out[start : start + rows])
+            del diff  # so that the next block is not allocated beside this one
         np.negative(out, out=out)
         out /= self.temperature
         out -= out.max(axis=1, keepdims=True)
@@ -108,12 +117,10 @@ class SyntheticModel:
 
     def draw(self, dist: np.ndarray, size: int, rng, labeled: bool = True) -> ScoreTable:
         y = rng.choice(self.k, size=size, p=dist)
-        dim = self.class_centers.shape[1]
-        x = self.class_centers[y] + self.noise_scale[y, None] * rng.standard_normal(
-            (size, dim)
-        )
-        scores = self.score(x) if size > 0 else np.empty((0, self.k))
-        return ScoreTable(scores=scores, labels=y if labeled else None)
+        x = rng.standard_normal((size, self.class_centers.shape[1]))
+        x *= self.noise_scale[y, None]
+        x += self.class_centers[y]
+        return ScoreTable(scores=self.score(x), labels=y if labeled else None)
 
 
 def tweak_one(K: int, rho: float, tweaked: int = 0) -> np.ndarray:

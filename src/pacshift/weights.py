@@ -86,14 +86,16 @@ def bbse_point_weights(conf: np.ndarray, qh: np.ndarray) -> np.ndarray:
     """Plug-in weight estimate: solve c_hat w = q_hat, clamping negatives to 0.
 
     c_hat = conf / conf.sum() and q_hat = qh / qh.sum().  Raises ValueError
-    on an all-zero target count vector, and SingularMatrix unless c_hat's
-    condition number is below 1e12.
+    on an all-zero target count vector, and SingularMatrix on an all-zero
+    confusion matrix or unless c_hat's condition number is below 1e12.
     """
     conf, qh = _check_counts(conf, qh)
     if qh.sum() == 0:
         raise ValueError("target counts are all zero")
+    if conf.sum() == 0:
+        raise SingularMatrix("confusion counts are all zero")
     a = conf / conf.sum()
-    # An empty source sample gives NaN rates, on which the SVD fails.
+    # The SVD fails on NaN, which float counts can carry past _check_counts.
     cond = np.linalg.cond(a) if np.all(np.isfinite(a)) else np.inf
     if not cond < 1e12:
         raise SingularMatrix(f"confusion matrix condition number {cond:.3g} >= 1e12")

@@ -322,6 +322,15 @@ class TestExperimentCommand:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_is_config_error(self, tmp_path, capsys, trials):
+        code = main(["experiment", "--epsilon", "0.2", "--delta", "0.05",
+                     "--scenario", self._scenario(tmp_path), "--trials", trials,
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "--trials must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_method_rejected(self, tmp_path, capsys):
         with_bad = ["experiment", "--epsilon", "0.2", "--delta", "0.05",
                     "--scenario", self._scenario(tmp_path), "--method", "PS-X"]

@@ -63,6 +63,39 @@ def planted_boundary_instance(rng):
             return src, v, w, rp
 
 
+AWKWARD_PSW = ["empty-label", "all-tied-v", "m=1", "k=2", "delta-near-0", "delta-near-1"]
+
+
+def awkward_instance(rng, case):
+    """A small PS-W instance of one awkward kind from AWKWARD_PSW.
+
+    v takes quarters, so ties are common in every kind.  Near delta = 0 the
+    sample is larger, the box narrow and high and epsilon large, so that
+    every acceptance pattern is big enough for some tau to pass.
+    """
+    k = 2 if case == "k=2" else 3
+    if case == "m=1":
+        m = 1
+    else:
+        m = int(rng.integers(12, 21) if case == "delta-near-0" else rng.integers(4, 11))
+    labels = rng.integers(0, k - 1 if case == "empty-label" else k, size=m)
+    scores = rng.dirichlet(np.ones(k), size=m)
+    v = rng.integers(0, 5, size=m) / 4
+    if case == "all-tied-v":
+        v[:] = v[0]
+    lo = rng.uniform(-0.3, 0.6, size=k)
+    hi = lo + rng.uniform(0.3, 1.5, size=k)
+    epsilon, delta = rng.uniform(0.2, 0.6), rng.uniform(0.3, 0.8)
+    if case == "delta-near-0":
+        lo = rng.uniform(0.7, 1.0, size=k)
+        hi = lo + rng.uniform(0.0, 0.3, size=k)
+        epsilon, delta = rng.uniform(0.6, 0.95), 10.0 ** -rng.integers(6, 13)
+    elif case == "delta-near-1":
+        delta = 1 - 10.0 ** -rng.integers(6, 13)
+    src = ScoreTable(scores=scores, labels=labels)
+    return src, AcceptanceRandomness(v=v), WeightBox(lo, hi), RiskParams(epsilon, delta)
+
+
 class TestPsThreshold:
     def test_three_point_example(self):
         src = ScoreTable(
@@ -168,6 +201,13 @@ class TestPswThreshold:
         for src, v, box, rp in instances:
             res = psw_threshold(src, v, box, rp)
             assert res.tau == psw_brute_force(src, v, box, rp)
+
+    @pytest.mark.parametrize("case", AWKWARD_PSW)
+    def test_matches_brute_force_on_awkward_inputs(self, case):
+        rng = np.random.default_rng(AWKWARD_PSW.index(case))
+        for _ in range(40):
+            src, v, box, rp = awkward_instance(rng, case)
+            assert psw_threshold(src, v, box, rp).tau == psw_brute_force(src, v, box, rp)
 
     def test_never_above_exact_weight_oracle(self):
         rng = np.random.default_rng(26)

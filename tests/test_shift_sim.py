@@ -13,6 +13,11 @@ import pytest
 from scipy import stats
 
 from pacshift import ShiftSpec, SyntheticModel, sample_shifted, true_weights, tweak_one
+from pacshift.shift_sim import _BLOCK_ELEMENTS
+
+# Bytes allowed above a peak-memory bound for the features and numpy's
+# reduction buffers.
+PEAK_SLACK = 1 << 18
 
 
 def small_model():
@@ -127,27 +132,30 @@ class TestSyntheticModel:
     def test_scores_equal_reference_bitwise(self, dim, k):
         # Draws are repeated with the same seed to rebuild the features that
         # draw() scored; per-label noise, and a temperature small enough that
-        # the far labels' logits underflow to 0.
+        # the far labels' logits underflow to 0.  The sizes cover one row,
+        # part of a block, and several blocks with a partial last one.
         rng = np.random.default_rng(1000 * dim + k)
         centers = 3.0 * rng.standard_normal((k, dim))
         noise = rng.uniform(0.2, 4.0, size=k)
         dist = rng.dirichlet(np.ones(k))
-        for temperature in (0.01, 1.0, 430.0):
-            model = SyntheticModel(centers, noise, temperature)
-            table = model.draw(dist, 300, np.random.default_rng(7))
-            rng2 = np.random.default_rng(7)
-            y = rng2.choice(k, size=300, p=dist)
-            x = centers[y] + noise[y, None] * rng2.standard_normal((300, dim))
-            want = score_reference(model, x)
-            np.testing.assert_array_equal(table.labels, y)
-            assert table.scores.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-            assert model.score(x).view(np.uint64).tolist() == want.view(np.uint64).tolist()
-            if temperature == 0.01:
-                assert np.any(want == 0.0)
+        block_rows = _BLOCK_ELEMENTS // (k * dim)
+        for size in (1, 300, 3 * block_rows + 17):
+            for temperature in (0.01, 1.0, 430.0):
+                model = SyntheticModel(centers, noise, temperature)
+                table = model.draw(dist, size, np.random.default_rng(7))
+                rng2 = np.random.default_rng(7)
+                y = rng2.choice(k, size=size, p=dist)
+                x = centers[y] + noise[y, None] * rng2.standard_normal((size, dim))
+                want = score_reference(model, x)
+                np.testing.assert_array_equal(table.labels, y)
+                assert table.scores.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+                assert model.score(x).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+                if temperature == 0.01 and size > 1:
+                    assert np.any(want == 0.0)
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
     def test_peak_memory(self, dim):
-        # Besides its output the scorer holds only the (N, K, D) differences.
+        # Besides its output the scorer holds one block of differences.
         rng = np.random.default_rng(54)
         model = SyntheticModel(rng.standard_normal((100, dim)), 1.0, 8.0)
         x = rng.standard_normal((5000, dim))
@@ -157,7 +165,7 @@ class TestSyntheticModel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (dim + 1.5) * out.nbytes
+        assert peak <= out.nbytes + 8 * _BLOCK_ELEMENTS + PEAK_SLACK
 
     def test_invalid_noise_scale(self):
         with pytest.raises(ValueError):
@@ -199,6 +207,20 @@ class TestSampleShifted:
         src, tgt, test = sample_shifted(spec, small_model(), seed=57)
         assert (src.n, tgt.n, test.n) == (21, 13, 8)
         assert src.is_labeled and test.is_labeled and not tgt.is_labeled
+
+    def test_peak_memory(self):
+        # The three tables are built one after another, each scored a block
+        # at a time, so the peak is about the outputs themselves.
+        spec = ShiftSpec(np.full(100, 0.01), tweak_one(100, 0.05), 5000, 5000, 5000)
+        model = SyntheticModel(8.0 * np.arange(100.0)[:, None], 1.0, 8.0)
+        tracemalloc.start()
+        try:
+            tables = sample_shifted(spec, model, seed=61)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(t.scores.nbytes + (t.labels.nbytes if t.is_labeled else 0) for t in tables)
+        assert peak <= outputs + 8 * _BLOCK_ELEMENTS + PEAK_SLACK
 
     def test_empty_draws(self):
         spec = ShiftSpec(np.full(2, 0.5), np.full(2, 0.5), 0, 5, 0)

@@ -174,7 +174,7 @@ class TestBbsePointWeights:
 
     def test_empty_source_raises(self):
         conf = np.zeros((2, 2), dtype=int)
-        with np.errstate(invalid="ignore"), pytest.raises(SingularMatrix):
+        with pytest.raises(SingularMatrix, match="all zero"):
             bbse_point_weights(conf, np.array([60, 40]))
 
     def test_empty_target_raises(self):
