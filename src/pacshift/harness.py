@@ -9,6 +9,7 @@ are independent of execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +17,8 @@ import numpy as np
 from .binomial import RiskParams
 from .intervals import WeightBox
 from .predsets import (
-    ABORTED,
     AcceptanceRandomness,
-    aborted_result,
+    ThresholdResult,
     evaluate_set,
     psc_threshold,
     psr_threshold,
@@ -42,15 +42,18 @@ QUANTILES = (0, 25, 50, 75, 100)  # percentiles reported by ``aggregate``
 
 @dataclass
 class TrialReport:
-    """Per-trial outcome for one method."""
+    """Per-trial outcome for one method; a NaN tau marks an aborted calibration."""
 
     method: str
     trial: int
     error: float
     avg_size: float
     tau: float
-    aborted: bool = False
     weight_box: WeightBox | None = None
+
+    @property
+    def aborted(self) -> bool:
+        return math.isnan(self.tau)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -59,6 +62,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _calibrate(method, src, v, rp, rp_resid, box, pointw, truew):
+    if method in ("PS-R", "WCP") and pointw is None:
+        return ThresholdResult(math.nan)
     if method == "PS":
         return ps_threshold(src, rp)
     if method == "PS-W":
@@ -66,12 +71,8 @@ def _calibrate(method, src, v, rp, rp_resid, box, pointw, truew):
     if method == "PS-C":
         return psc_threshold(src, box, rp_resid)
     if method == "PS-R":
-        if pointw is None:
-            return aborted_result()
         return psr_threshold(src, v, pointw, rp)
     if method == "WCP":
-        if pointw is None:
-            return aborted_result()
         return wcp_threshold(src, pointw, rp.epsilon)
     # ORACLE: run_trials rejects unknown methods before its loop.
     return psr_threshold(src, v, truew, rp)
@@ -120,17 +121,7 @@ def run_trials(
             result = _calibrate(method, src, v, rp, rp_resid, box, pointw, truew)
             error, avg_size = evaluate_set(result, test)
             snapshot = box if method in ("PS-W", "PS-C") and isinstance(box, WeightBox) else None
-            reports.append(
-                TrialReport(
-                    method=method,
-                    trial=trial,
-                    error=error,
-                    avg_size=avg_size,
-                    tau=result.tau,
-                    aborted=result.status == ABORTED,
-                    weight_box=snapshot,
-                )
-            )
+            reports.append(TrialReport(method, trial, error, avg_size, result.tau, snapshot))
     return reports
 
 

@@ -43,22 +43,24 @@ ABORTED = "aborted"
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Calibrated tau, or a full-set / aborted sentinel."""
+    """A calibrated tau; its status follows from tau alone.
+
+    NaN is an aborted calibration, -inf the full set and a finite tau a
+    calibrated set.  A ``status`` passed in must be the one tau implies.
+    """
 
     tau: float
-    status: str
 
-    def __post_init__(self):
-        if (self.status == FULL_SET) != (self.tau == -math.inf):
-            raise ValueError("status is full_set iff tau is -inf")
+    def __init__(self, tau: float, status: str | None = None):
+        object.__setattr__(self, "tau", float(tau))
+        if self.tau == math.inf or status not in (None, self.status):
+            raise ValueError(f"tau {tau!r} is +inf or contradicts status {status!r}")
 
-
-def full_set_result() -> ThresholdResult:
-    return ThresholdResult(tau=-math.inf, status=FULL_SET)
-
-
-def aborted_result() -> ThresholdResult:
-    return ThresholdResult(tau=math.nan, status=ABORTED)
+    @property
+    def status(self) -> str:
+        if math.isnan(self.tau):
+            return ABORTED
+        return FULL_SET if self.tau == -math.inf else CALIBRATED
 
 
 @dataclass
@@ -88,8 +90,8 @@ def ps_threshold(src: ScoreTable, rp: RiskParams) -> ThresholdResult:
     scores = np.sort(src.true_scores())
     k = int(binom_k(src.n, rp))
     if k < 0:
-        return full_set_result()
-    return ThresholdResult(tau=float(scores[k]), status=CALIBRATED)
+        return ThresholdResult(-math.inf)
+    return ThresholdResult(scores[k])
 
 
 def rejection_sample(
@@ -153,7 +155,7 @@ def psw_threshold(
     finds the first failing tau, whose predecessor is the answer.
     """
     if isinstance(box, Aborted):
-        return aborted_result()
+        return ThresholdResult(math.nan)
     if not src.is_labeled:
         raise ValueError("source table must be labeled")
     per_label = _per_label_acceptance(src, v, box)
@@ -182,8 +184,8 @@ def psw_threshold(
     # fails() is monotone in tau: raising tau only adds errors.
     first_fail = bisect.bisect_left(candidates, True, key=fails)
     if first_fail == 0:
-        return full_set_result()
-    return ThresholdResult(tau=float(candidates[first_fail - 1]), status=CALIBRATED)
+        return ThresholdResult(-math.inf)
+    return ThresholdResult(candidates[first_fail - 1])
 
 
 def psc_threshold(
@@ -191,7 +193,7 @@ def psc_threshold(
 ) -> ThresholdResult:
     """Conservative threshold: unweighted calibration at error budget eps / b."""
     if isinstance(box, Aborted):
-        return aborted_result()
+        return ThresholdResult(math.nan)
     eps = min(rp.epsilon / box.envelope_b, 1.0 - 1e-15)
     return ps_threshold(src, RiskParams(epsilon=eps, delta=rp.delta))
 
@@ -203,7 +205,7 @@ def psr_threshold(
     w = np.clip(np.asarray(pointw, dtype=float), 0.0, None)
     b = float(w.max())
     if b <= 0:
-        return full_set_result()
+        return ThresholdResult(-math.inf)
     idx = rejection_sample(src, v, w, b)
     return ps_threshold(src.subset(idx), rp)
 
@@ -223,7 +225,7 @@ def wcp_threshold(src: ScoreTable, pointw: np.ndarray, eps: float) -> ThresholdR
     vals, first = np.unique(s, return_index=True)
     below = cum[first]  # weight mass strictly below each distinct score
     ok = below <= eps * total
-    return ThresholdResult(tau=float(vals[ok][-1]), status=CALIBRATED)
+    return ThresholdResult(vals[ok][-1])
 
 
 def evaluate_set(result: ThresholdResult, test: ScoreTable) -> tuple[float, float]:

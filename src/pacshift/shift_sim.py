@@ -102,6 +102,8 @@ class SyntheticModel:
         the result does not depend on the block size.
         """
         k, dim = self.class_centers.shape
+        if x.ndim != 2 or x.shape[1] != dim:
+            raise ValueError(f"features must have shape (N, {dim}), got {x.shape}")
         out = np.empty((len(x), k))
         rows = max(1, _BLOCK_ELEMENTS // (k * dim))
         for start in range(0, len(x), rows):

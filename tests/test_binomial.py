@@ -268,6 +268,13 @@ class TestBinomK:
         reference = [binom_k_scalar_reference(n, rp) for n in range(20_001)]
         np.testing.assert_array_equal(table, reference)
 
+    @pytest.mark.parametrize("eps, delta", TABLE_LEVELS)
+    def test_table_steps_by_0_or_1_to_1e5(self, eps, delta):
+        # One more sample raises the admissible error count by at most one;
+        # an error-indexed PS-W would rely on this.
+        k = binom_k(np.arange(100_001), RiskParams(epsilon=eps, delta=delta))
+        assert np.isin(np.diff(k), [0, 1]).all()
+
     def test_sandwich_on_table_to_1e5(self):
         rp = RiskParams(epsilon=0.1, delta=5e-4 / 13)
         m = np.arange(100_001)

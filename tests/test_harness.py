@@ -6,6 +6,8 @@ keeps its error guarantee in every trial while staying tighter than the
 envelope-inflated baseline.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,15 @@ class TestAggregate:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             aggregate([], 0.1)
+
+    def test_aborted_follows_tau(self):
+        rows = [TrialReport("PS-W", 0, 0.0, 3.0, tau) for tau in (math.nan, -math.inf, 0.3)]
+        assert [r.aborted for r in rows] == [True, False, False]
+        assert aggregate(rows, 0.1)["PS-W"]["aborts"] == 1
+        with pytest.raises(AttributeError):
+            rows[0].aborted = False
+        with pytest.raises(TypeError):
+            TrialReport("PS-W", 0, 0.0, 3.0, 0.3, aborted=True)
 
 
 class TestSevereShiftEndToEnd:

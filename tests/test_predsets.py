@@ -27,7 +27,7 @@ from pacshift import (
     rejection_sample,
     wcp_threshold,
 )
-from pacshift.predsets import ABORTED, CALIBRATED, FULL_SET, aborted_result, full_set_result
+from pacshift.predsets import ABORTED, CALIBRATED, FULL_SET
 
 from oracles import ps_oracle, psw_brute_force
 
@@ -94,6 +94,27 @@ def awkward_instance(rng, case):
         delta = 1 - 10.0 ** -rng.integers(6, 13)
     src = ScoreTable(scores=scores, labels=labels)
     return src, AcceptanceRandomness(v=v), WeightBox(lo, hi), RiskParams(epsilon, delta)
+
+
+def k100_instance(rng):
+    """A K=100 PS-W instance whose box is a single point on all but three labels.
+
+    The three free labels hold half the rows and v takes quarters, so each
+    has at most five acceptance cells and the brute force stays small.
+    """
+    K, m = 100, int(rng.integers(200, 401))
+    free = rng.choice(K, size=3, replace=False)
+    p = np.full(K, 0.5 / (K - 3))
+    p[free] = 0.5 / 3
+    labels = rng.choice(K, size=m, p=p)
+    scores = rng.dirichlet(np.ones(K), size=m)
+    v = rng.integers(0, 5, size=m) / 4
+    lo = rng.uniform(0.3, 1.5, size=K)
+    hi = lo.copy()
+    lo[free] = rng.uniform(-0.3, 0.6, size=3)
+    hi[free] = lo[free] + rng.uniform(0.3, 1.5, size=3)
+    rp = RiskParams(float(rng.uniform(0.1, 0.3)), float(rng.uniform(0.05, 0.5)))
+    return ScoreTable(scores, labels), AcceptanceRandomness(v), WeightBox(lo, hi), rp
 
 
 class TestPsThreshold:
@@ -208,6 +229,20 @@ class TestPswThreshold:
         for _ in range(40):
             src, v, box, rp = awkward_instance(rng, case)
             assert psw_threshold(src, v, box, rp).tau == psw_brute_force(src, v, box, rp)
+
+    def test_matches_brute_force_at_k100(self):
+        below_both_corners = 0
+        for seed in range(10):
+            src, v, box, rp = k100_instance(np.random.default_rng(seed))
+            tau = psw_threshold(src, v, box, rp).tau
+            assert tau == psw_brute_force(src, v, box, rp)
+            corners = [
+                ps_threshold(src.subset(rejection_sample(src, v, w, box.envelope_b)), rp).tau
+                for w in (box.lo, box.hi)
+            ]
+            below_both_corners += tau < min(corners)
+        # The worst case is not just the sampler's cell at one of the box's corners.
+        assert below_both_corners >= 5
 
     def test_never_above_exact_weight_oracle(self):
         rng = np.random.default_rng(26)
@@ -324,13 +359,13 @@ class TestEvaluateSet:
     def test_full_set_scores_everything(self):
         rng = np.random.default_rng(38)
         test, _, _, _ = random_instance(rng, m=30)
-        err, size = evaluate_set(full_set_result(), test)
+        err, size = evaluate_set(ThresholdResult(-math.inf), test)
         assert err == 0.0 and size == 2.0
 
     def test_aborted_degrades_to_full_set(self):
         rng = np.random.default_rng(39)
         test, _, _, _ = random_instance(rng, m=30)
-        assert evaluate_set(aborted_result(), test) == (0.0, 2.0)
+        assert evaluate_set(ThresholdResult(math.nan), test) == (0.0, 2.0)
 
     def test_tau_above_max_score(self):
         rng = np.random.default_rng(40)
@@ -356,3 +391,25 @@ class TestThresholdResult:
             ThresholdResult(tau=-math.inf, status=CALIBRATED)
         with pytest.raises(ValueError):
             ThresholdResult(tau=0.5, status=FULL_SET)
+
+    @pytest.mark.parametrize(
+        "tau, status", [(0.3, CALIBRATED), (-1e300, CALIBRATED), (-math.inf, FULL_SET),
+                        (math.nan, ABORTED)]
+    )
+    def test_status_follows_tau(self, tau, status):
+        assert ThresholdResult(tau).status == status
+        assert ThresholdResult(tau=tau, status=status).status == status
+
+    @pytest.mark.parametrize(
+        "tau, status", [(math.nan, CALIBRATED), (math.nan, FULL_SET), (0.3, ABORTED),
+                        (0.3, "bogus"), (-math.inf, ABORTED), (math.inf, None),
+                        (math.inf, CALIBRATED)]
+    )
+    def test_contradicting_status_or_plus_inf_raises(self, tau, status):
+        with pytest.raises(ValueError):
+            ThresholdResult(tau=tau, status=status)
+
+    def test_status_cannot_be_set(self):
+        res = ThresholdResult(0.3)
+        with pytest.raises(AttributeError):
+            res.status = ABORTED

@@ -185,6 +185,14 @@ class TestSyntheticModel:
         with pytest.raises(ValueError, match="temperature"):
             SyntheticModel(class_centers=[[0.0], [4.0]], temperature=np.nan)
 
+    @pytest.mark.parametrize("x", [np.array([[1.0]]), np.ones((4, 2)), np.ones(3),
+                                   np.ones((2, 3, 1))])
+    def test_features_of_the_wrong_shape_raise(self, x):
+        # (N, 1) features would broadcast against every coordinate of a 3-D center.
+        model = SyntheticModel(class_centers=[[0, 0, 0], [1, 1, 1]])
+        with pytest.raises(ValueError, match=r"shape \(N, 3\)"):
+            model.score(x)
+
 
 class TestSampleShifted:
     def test_deterministic_in_seed(self):
