@@ -71,8 +71,9 @@ def cp_interval(successes, trials, level) -> Interval:
 
     The arguments broadcast like NumPy arrays, one interval per entry;
     scalar arguments give 0-d endpoints.  Endpoints are the usual beta
-    quantiles; the boundary cases x = 0 and x = n use the closed forms
-    lo = 0 and hi = 1.
+    quantiles.  An endpoint ``betaincinv`` cannot compute (x = 0, x = n,
+    or a small x at a level below about 1e-150) becomes the trivial bound
+    lo = 0 or hi = 1, which always holds.
     """
     x, n, level = np.asarray(successes), np.asarray(trials), np.asarray(level, dtype=float)
     if np.any(n < 1):
@@ -81,9 +82,8 @@ def cp_interval(successes, trials, level) -> Interval:
         raise ValueError("successes must be in [0, trials]")
     if not np.all((0.0 < level) & (level < 1.0)):
         raise ValueError("level must be in (0, 1)")
-    lo = np.where(x == 0, 0.0, special.betaincinv(x, n - x + 1, level / 2))
-    hi = np.where(x == n, 1.0, special.betaincinv(x + 1, n - x, 1.0 - level / 2))
-    # Also rejects NaN endpoints.
+    lo = np.fmax(special.betaincinv(x, n - x + 1, level / 2), 0.0)
+    hi = np.fmin(special.betaincinv(x + 1, n - x, 1.0 - level / 2), 1.0)
     if not np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)):
         raise ValueError("interval bounds out of order")
     return Interval(lo, hi)

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .binomial import RiskParams
-from .harness import METHODS, QUANTILES, aggregate, run_trials
+from .harness import METHODS, aggregate, run_trials
 from .intervals import Aborted
 from .predsets import CALIBRATED, AcceptanceRandomness, psw_threshold
 from .shift_sim import ShiftSpec, SyntheticModel
@@ -301,16 +301,10 @@ def cmd_experiment(args) -> int:
                     "avg_size": r.avg_size, "tau": _json_float(r.tau), "aborted": r.aborted})
         for r in reports
     ), "\n")
-    head = ["method", "trials", "violations", "aborts", "mean_error", "mean_size"]
-    head += [f"error_q{q}" for q in QUANTILES] + [f"size_q{q}" for q in QUANTILES]
     summary_path = os.path.join(out, "summary.csv")
-    _write_tagged(summary_path, [",".join(head)], (
-        ",".join([method, *map(repr, [
-            s["trials"], s["violations"], s["aborts"], s["mean_error"], s["mean_size"],
-            *(s["error_quantiles"][q] for q in QUANTILES),
-            *(s["size_quantiles"][q] for q in QUANTILES),
-        ])])
-        for method, s in summary.items()
+    columns = ["method", *next(iter(summary.values()))]
+    _write_tagged(summary_path, [",".join(columns)], (
+        ",".join([method, *map(repr, s.values())]) for method, s in summary.items()
     ), "\r\n")
     for method, s in summary.items():
         print(

@@ -61,23 +61,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
-def _calibrate(method, src, v, rp, rp_resid, box, pointw, truew):
-    if method in ("PS-R", "WCP") and pointw is None:
-        return ThresholdResult(math.nan)
-    if method == "PS":
-        return ps_threshold(src, rp)
-    if method == "PS-W":
-        return psw_threshold(src, v, box, rp_resid)
-    if method == "PS-C":
-        return psc_threshold(src, box, rp_resid)
-    if method == "PS-R":
-        return psr_threshold(src, v, pointw, rp)
-    if method == "WCP":
-        return wcp_threshold(src, pointw, rp.epsilon)
-    # ORACLE: run_trials rejects unknown methods before its loop.
-    return psr_threshold(src, v, truew, rp)
-
-
 def run_trials(
     spec: ShiftSpec,
     model: SyntheticModel,
@@ -107,18 +90,25 @@ def run_trials(
         src, tgt, test = sample_shifted(spec, model, data_seed)
         v = AcceptanceRandomness.draw(spec.m, v_seed)
 
-        box = None
-        if "PS-W" in methods or "PS-C" in methods:
-            box = weight_box(src, tgt, box_budget)
-        pointw = None
-        if "PS-R" in methods or "WCP" in methods:
-            try:
-                pointw = bbse_point_weights(estimate_confusion(src), estimate_qhat(tgt))
-            except SingularMatrix:
-                pointw = None
+        box = weight_box(src, tgt, box_budget)
+        try:
+            pointw = bbse_point_weights(estimate_confusion(src), estimate_qhat(tgt))
+        except SingularMatrix:
+            pointw = None
+        # Looked up when called, so a rebound module name takes effect.
+        calibrators = {
+            "PS": lambda: ps_threshold(src, rp),
+            "PS-W": lambda: psw_threshold(src, v, box, rp_resid),
+            "PS-C": lambda: psc_threshold(src, box, rp_resid),
+            "PS-R": lambda: psr_threshold(src, v, pointw, rp),
+            "WCP": lambda: wcp_threshold(src, pointw, rp.epsilon),
+            "ORACLE": lambda: psr_threshold(src, v, truew, rp),
+        }
+        if pointw is None:
+            calibrators["PS-R"] = calibrators["WCP"] = lambda: ThresholdResult(math.nan)
 
         for method in methods:
-            result = _calibrate(method, src, v, rp, rp_resid, box, pointw, truew)
+            result = calibrators[method]()
             error, avg_size = evaluate_set(result, test)
             snapshot = box if method in ("PS-W", "PS-C") and isinstance(box, WeightBox) else None
             reports.append(TrialReport(method, trial, error, avg_size, result.tau, snapshot))
@@ -126,7 +116,7 @@ def run_trials(
 
 
 def aggregate(reports, epsilon: float) -> dict:
-    """Per-method error/size quantiles and the count of epsilon violations."""
+    """Per method, a flat dict whose keys are the summary.csv columns in order."""
     if not reports:
         raise ValueError("no reports to aggregate")
     summary = {}
@@ -136,11 +126,11 @@ def aggregate(reports, epsilon: float) -> dict:
         sizes = np.array([r.avg_size for r in rows])
         summary[method] = {
             "trials": len(rows),
-            "error_quantiles": {q: float(np.percentile(errors, q)) for q in QUANTILES},
-            "size_quantiles": {q: float(np.percentile(sizes, q)) for q in QUANTILES},
-            "mean_error": float(errors.mean()),
-            "mean_size": float(sizes.mean()),
             "violations": int(np.count_nonzero(errors > epsilon)),
             "aborts": sum(r.aborted for r in rows),
+            "mean_error": float(errors.mean()),
+            "mean_size": float(sizes.mean()),
+            **{f"error_q{q}": float(np.percentile(errors, q)) for q in QUANTILES},
+            **{f"size_q{q}": float(np.percentile(sizes, q)) for q in QUANTILES},
         }
     return summary

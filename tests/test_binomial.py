@@ -2,7 +2,8 @@
 
 Oracles are computed independently of the implementation: direct
 extended-precision summation (mpmath) for the CDF, a linear scan for the
-tail inversion, and bisection against the summed CDF for Clopper-Pearson.
+tail inversion, and bisection against the summed CDF (or, at levels too
+small for float quantiles, the mpmath incomplete beta) for Clopper-Pearson.
 The array forms of cp_interval and binom_k must also equal, bit for bit,
 the per-entry scalar computations they replaced.
 """
@@ -128,6 +129,29 @@ def cp_bisect_oracle(x: int, n: int, level: float) -> tuple[float, float]:
     lo = 0.0 if x == 0 else bisect(upper_tail, level / 2, increasing=True)
     hi = 1.0 if x == n else bisect(lower_tail, level / 2, increasing=False)
     return lo, hi
+
+
+def cp_mp_oracle(x: int, n: int, level: float):
+    """Clopper-Pearson (lo, hi) as 60-digit mpmath numbers.
+
+    Each endpoint solves a regularized incomplete beta equation by bisection
+    on log p, so it stays exact where float quantiles underflow.
+    """
+    with mpmath.workdps(60):
+        half = mpmath.mpf(level) / 2
+
+        def root(a, b):  # p with I_p(a, b) = half; I_p increases in p
+            lo, hi = mpmath.mpf(-2000), mpmath.mpf(0)
+            for _ in range(120):
+                mid = (lo + hi) / 2
+                if mpmath.betainc(a, b, 0, mpmath.exp(mid), regularized=True) < half:
+                    lo = mid
+                else:
+                    hi = mid
+            return mpmath.exp(hi)
+
+        # P(X >= x) = I_p(x, n-x+1);  P(X <= x) = I_{1-p}(n-x, x+1).
+        return root(x, n - x + 1), 1 - root(n - x, x + 1)
 
 
 def cp_scalar_reference(x: int, n: int, level: float) -> tuple[float, float]:
@@ -335,6 +359,14 @@ class TestCpInterval:
     def test_contains_and_width(self):
         iv = cp_interval(5, 20, 0.1)
         assert iv.lo < 5 / 20 < iv.hi
+
+    @pytest.mark.parametrize("x,n,level", [(5, 300, 1e-200), (2, 5000, 1e-190),
+                                           (3, 20000, 1e-160)])
+    def test_contains_extended_precision_endpoints_at_tiny_levels(self, x, n, level):
+        # betaincinv returns NaN for lo here; the trivial bound must stand in.
+        iv = cp_interval(x, n, level)
+        lo, hi = cp_mp_oracle(x, n, level)
+        assert 0.0 <= iv.lo <= lo and hi <= iv.hi <= 1.0
 
     def test_scalar_call_gives_0d_endpoints(self):
         iv = cp_interval(3, 20, 0.05)

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pacshift import ScoreTable
+from pacshift import RiskParams, ScoreTable, aggregate, run_trials, sample_shifted
 from pacshift.cli import (
     EXIT_ABORT,
     EXIT_CONFIG,
@@ -20,6 +20,7 @@ from pacshift.cli import (
     FORMAT_TAG,
     DataError,
     main,
+    read_scenario,
     read_scores,
     write_scores,
 )
@@ -265,6 +266,16 @@ class TestExperimentCommand:
             assert int(r["trials"]) == 3
             float(r["mean_error"]), float(r["mean_size"])
 
+    def test_summary_columns_are_the_aggregate_keys(self, tmp_path):
+        assert self._run(tmp_path, "out") == EXIT_OK
+        spec, model = read_scenario(self._scenario(tmp_path))
+        rp = RiskParams(0.2, 0.05)
+        summary = aggregate(run_trials(spec, model, ["PS", "PS-C"], rp, 3, 9), rp.epsilon)
+        lines = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(rows[0] == ["method", *s] for s in summary.values())
+        assert rows[1:] == [[m, *map(repr, s.values())] for m, s in summary.items()]
+
     def test_repeat_run_is_deterministic(self, tmp_path):
         self._run(tmp_path, "a")
         self._run(tmp_path, "b")
@@ -336,3 +347,41 @@ class TestExperimentCommand:
                     "--scenario", self._scenario(tmp_path), "--method", "PS-X"]
         assert main(with_bad) == EXIT_CONFIG
         capsys.readouterr()
+
+
+# The seed-5 source table of this scenario has confusion counts 4 and 6, which
+# have no betaincinv lower endpoint at the CP level that --delta 1e-170 gives.
+TINY_DELTA_SCENARIO = """\
+source_dist = 0.3,0.3,0.4
+target_dist = 0.2,0.2,0.6
+m = 300
+n = 300
+o = 300
+centers = -3;3;0
+noise_scale = 1
+"""
+
+
+class TestTinyDelta:
+    @pytest.fixture
+    def scenario(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text(TINY_DELTA_SCENARIO)
+        return str(path)
+
+    def test_calibrate_writes_a_report(self, tmp_path, scenario):
+        src, tgt, _ = sample_shifted(*read_scenario(scenario), 5)
+        s = write_fixture(tmp_path / "s.csv", src)
+        t = write_fixture(tmp_path / "t.csv", tgt)
+        out = tmp_path / "r.json"
+        code = main(["calibrate", "--epsilon", "0.2", "--delta", "1e-170",
+                     "--source", s, "--target", t, "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_ABORT)
+        assert json.loads(out.read_text())["delta"] == 1e-170
+
+    @pytest.mark.parametrize("method", ["PS", "PS-W"])
+    def test_experiment_runs(self, tmp_path, scenario, method):
+        code = main(["experiment", "--epsilon", "0.2", "--delta", "1e-170",
+                     "--scenario", scenario, "--method", method, "--trials", "2",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK

@@ -92,15 +92,15 @@ class TestAggregate:
             assert s["trials"] == 5
             assert s["mean_error"] == pytest.approx(errs.mean())
             assert s["violations"] == int((errs > rp.epsilon).sum())
-            assert s["error_quantiles"][50] == pytest.approx(np.median(errs))
-            assert s["error_quantiles"][0] == errs.min()
-            assert s["error_quantiles"][100] == errs.max()
+            assert s["error_q50"] == pytest.approx(np.median(errs))
+            assert s["error_q0"] == errs.min()
+            assert s["error_q100"] == errs.max()
 
     def test_single_report(self):
         r = TrialReport(method="PS", trial=0, error=0.1, avg_size=1.5, tau=0.3)
         s = aggregate([r], 0.05)["PS"]
         assert s["violations"] == 1 and s["mean_size"] == 1.5
-        assert all(v == 0.1 for v in s["error_quantiles"].values())
+        assert all(s[f"error_q{q}"] == 0.1 for q in harness.QUANTILES)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
