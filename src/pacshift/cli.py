@@ -188,8 +188,8 @@ def read_scenario(path: str) -> tuple[ShiftSpec, SyntheticModel]:
     """Parse a flat key/value scenario spec.
 
     Keys: source_dist, target_dist (comma-separated), m, n, o, centers
-    (semicolon-separated points of comma-separated coordinates),
-    noise_scale (scalar or one value per class), temperature.
+    (one number per class, semicolon-separated), noise_scale (scalar or
+    one value per class, comma-separated), temperature.
     """
     fields: dict[str, str] = {}
     try:
@@ -216,12 +216,8 @@ def read_scenario(path: str) -> tuple[ShiftSpec, SyntheticModel]:
             n=int(fields["n"]),
             o=int(fields["o"]),
         )
-        centers = [
-            [float(x) for x in point.split(",")]
-            for point in fields["centers"].split(";")
-        ]
         model = SyntheticModel(
-            class_centers=np.array(centers),
+            class_centers=[[float(x)] for x in fields["centers"].split(";")],
             noise_scale=[float(x) for x in fields.get("noise_scale", "1.0").split(",")],
             temperature=float(fields.get("temperature", "1.0")),
         )
@@ -318,7 +314,7 @@ def cmd_experiment(args) -> int:
 def _write_json(path: str | None, payload: dict):
     text = json.dumps(payload, indent=2) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -17,10 +17,6 @@ import numpy as np
 from .tables import ScoreTable
 
 _SIMPLEX_TOL = 1e-12
-# SyntheticModel.score takes rows in blocks of about this many (row, label,
-# dim) differences (512 KB of float64), so its peak is its output plus one
-# block at any N and D.
-_BLOCK_ELEMENTS = 1 << 16
 
 
 def _check_simplex(p: np.ndarray, name: str):
@@ -66,11 +62,12 @@ class ShiftSpec:
 class SyntheticModel:
     """Fixed class-conditional feature model and the induced scorer.
 
-    Features for label y are class_centers[y] plus isotropic Gaussian noise;
-    scores are a softmax of negative squared distances to the centers, so
-    classifier accuracy is controlled by center spacing vs noise_scale.
-    noise_scale may be a scalar or a per-label vector (heteroscedastic
-    classes give asymmetric confusion).
+    Features are scalars: for label y, class_centers[y, 0] plus Gaussian
+    noise.  class_centers has shape (K, 1).  Scores are a softmax of
+    negative squared distances to the centers, so classifier accuracy is
+    controlled by center spacing vs noise_scale.  noise_scale may be a
+    scalar or a per-label vector (heteroscedastic classes give asymmetric
+    confusion).
     """
 
     class_centers: np.ndarray
@@ -78,7 +75,9 @@ class SyntheticModel:
     temperature: float = 1.0
 
     def __post_init__(self):
-        self.class_centers = np.atleast_2d(np.asarray(self.class_centers, dtype=float))
+        self.class_centers = np.asarray(self.class_centers, dtype=float)
+        if self.class_centers.shape[1:] != (1,):
+            raise ValueError(f"class centers must have shape (K, 1), got {self.class_centers.shape}")
         self.noise_scale = np.broadcast_to(
             np.asarray(self.noise_scale, dtype=float), (self.k,)
         ).copy()
@@ -95,21 +94,14 @@ class SyntheticModel:
         return self.class_centers.shape[0]
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        """Softmax over labels of -||x - center||^2 / temperature.
+        """Softmax over labels of -(x - center)^2 / temperature, for (N, 1) features.
 
-        Besides the (N, K) result, the computation holds one block of
-        squared differences at a time; every reduction is within a row, so
-        the result does not depend on the block size.
+        Every step after the subtraction works in place in the (N, K) result.
         """
-        k, dim = self.class_centers.shape
-        if x.ndim != 2 or x.shape[1] != dim:
-            raise ValueError(f"features must have shape (N, {dim}), got {x.shape}")
-        out = np.empty((len(x), k))
-        rows = max(1, _BLOCK_ELEMENTS // (k * dim))
-        for start in range(0, len(x), rows):
-            diff = x[start : start + rows, None, :] - self.class_centers
-            np.square(diff, out=diff).sum(axis=2, out=out[start : start + rows])
-            del diff  # so that the next block is not allocated beside this one
+        if x.shape[1:] != (1,):
+            raise ValueError(f"features must have shape (N, 1), got {x.shape}")
+        out = np.subtract(x, self.class_centers[:, 0])
+        np.square(out, out=out)
         np.negative(out, out=out)
         out /= self.temperature
         out -= out.max(axis=1, keepdims=True)
@@ -119,7 +111,7 @@ class SyntheticModel:
 
     def draw(self, dist: np.ndarray, size: int, rng, labeled: bool = True) -> ScoreTable:
         y = rng.choice(self.k, size=size, p=dist)
-        x = rng.standard_normal((size, self.class_centers.shape[1]))
+        x = rng.standard_normal((size, 1))
         x *= self.noise_scale[y, None]
         x += self.class_centers[y]
         return ScoreTable(scores=self.score(x), labels=y if labeled else None)

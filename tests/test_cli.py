@@ -172,6 +172,17 @@ class TestCalibrateCommand:
         assert r1["status"] == "calibrated" and 0.0 < r1["tau"] < 1.0
         assert r1["weight_box"]["envelope_b"] >= max(r1["weight_box"]["hi"]) - 1e-12
 
+    def test_report_without_out_goes_to_stdout(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, "r.json")
+        assert code == EXIT_OK
+        capsys.readouterr()
+        argv = ["calibrate", "--epsilon", "0.2", "--delta", "0.05", "--seed", "5",
+                "--source", str(tmp_path / "src.csv"), "--target", str(tmp_path / "tgt.csv")]
+        assert main(argv) == EXIT_OK
+        *report, message = capsys.readouterr().out.splitlines()
+        assert message.startswith("tau = ")
+        assert json.loads("\n".join(report)) == json.load(open(out))
+
     def test_bad_epsilon_is_config_error(self, tmp_path):
         code, _ = self._run(tmp_path, "r.json", **{"--epsilon": "1.5"})
         assert code == EXIT_CONFIG
@@ -300,11 +311,29 @@ class TestExperimentCommand:
                      "--scenario", str(p)])
         assert code == EXIT_CONFIG
 
-    def test_k_mismatch_scenario_is_config_error(self, tmp_path):
-        text = SCENARIO.replace("centers = -6;6;0", "centers = -6;6")
+    def test_k_mismatch_scenario_is_config_error(self, tmp_path, capsys):
+        # One noise_scale value, so the model builds and read_scenario's K check runs.
+        text = SCENARIO.replace("centers = -6;6;0", "centers = -6;6").replace(
+            "noise_scale = 1,1,36", "noise_scale = 1")
         code = main(["experiment", "--epsilon", "0.2", "--delta", "0.05",
                      "--scenario", self._scenario(tmp_path, text)])
         assert code == EXIT_CONFIG
+        assert "centers imply K=2, distributions K=3" in capsys.readouterr().err
+
+    def test_center_with_coordinates_is_config_error(self, tmp_path, capsys):
+        text = SCENARIO.replace("centers = -6;6;0", "centers = -6,1;6,1;0,1")
+        code = main(["experiment", "--epsilon", "0.2", "--delta", "0.05",
+                     "--scenario", self._scenario(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_scenario_directory_is_config_error(self, tmp_path, capsys):
+        code = main(["experiment", "--epsilon", "0.2", "--delta", "0.05",
+                     "--scenario", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["m", "n", "o"])
     def test_zero_sample_size_is_config_error(self, tmp_path, capsys, key):

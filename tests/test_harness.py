@@ -70,6 +70,23 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="m, n and o must be >= 1"):
             run_trials(spec, model, list(METHODS), RiskParams(0.2, 0.1), trials=1, seed=0)
 
+    def test_singular_plug_in_aborts_its_methods(self):
+        # Equal centers give every row the scores [0.5, 0.5], so label 0 is
+        # always predicted: the confusion matrix is singular, the plug-in
+        # solve fails and the weight box aborts.
+        spec = ShiftSpec([0.5, 0.5], [0.5, 0.5], 50, 50, 50)
+        model = SyntheticModel([[0.0], [0.0]])
+        rp = RiskParams(0.2, 0.1)
+        reports = {r.method: r for r in run_trials(spec, model, METHODS, rp, 1, 0)}
+        for method in ("PS-R", "WCP", "PS-W", "PS-C"):
+            assert reports[method].aborted and reports[method].avg_size == 2
+        for method in ("PS", "ORACLE"):
+            assert not reports[method].aborted and reports[method].tau == 0.5
+        summary = aggregate(list(reports.values()), rp.epsilon)
+        assert {m: s["aborts"] for m, s in summary.items()} == {
+            "PS": 0, "PS-W": 1, "PS-C": 1, "PS-R": 1, "WCP": 1, "ORACLE": 0
+        }
+
     def test_no_shift_ps_error_within_budget(self):
         spec = ShiftSpec(np.full(2, 0.5), np.full(2, 0.5), 2000, 100, 2000)
         model = SyntheticModel(class_centers=[[0.0], [2.0]])

@@ -13,7 +13,6 @@ import pytest
 from scipy import stats
 
 from pacshift import ShiftSpec, SyntheticModel, sample_shifted, true_weights, tweak_one
-from pacshift.shift_sim import _BLOCK_ELEMENTS
 
 # Bytes allowed above a peak-memory bound for the features and numpy's
 # reduction buffers.
@@ -127,25 +126,23 @@ class TestSyntheticModel:
         err1 = np.mean(pred[table.labels == 1] != 1)
         assert err0 < 0.01 < 0.2 < err1
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
     @pytest.mark.parametrize("k", [2, 3, 100])
-    def test_scores_equal_reference_bitwise(self, dim, k):
+    def test_scores_equal_reference_bitwise(self, k):
         # Draws are repeated with the same seed to rebuild the features that
         # draw() scored; per-label noise, and a temperature small enough that
-        # the far labels' logits underflow to 0.  The sizes cover one row,
-        # part of a block, and several blocks with a partial last one.
-        rng = np.random.default_rng(1000 * dim + k)
-        centers = 3.0 * rng.standard_normal((k, dim))
+        # the far labels' logits underflow to 0.  The sizes are one row, a
+        # few hundred rows, and about 2e5 scores.
+        rng = np.random.default_rng(1000 + k)
+        centers = 3.0 * rng.standard_normal((k, 1))
         noise = rng.uniform(0.2, 4.0, size=k)
         dist = rng.dirichlet(np.ones(k))
-        block_rows = _BLOCK_ELEMENTS // (k * dim)
-        for size in (1, 300, 3 * block_rows + 17):
+        for size in (1, 300, 3 * ((1 << 16) // k) + 17):
             for temperature in (0.01, 1.0, 430.0):
                 model = SyntheticModel(centers, noise, temperature)
                 table = model.draw(dist, size, np.random.default_rng(7))
                 rng2 = np.random.default_rng(7)
                 y = rng2.choice(k, size=size, p=dist)
-                x = centers[y] + noise[y, None] * rng2.standard_normal((size, dim))
+                x = centers[y] + noise[y, None] * rng2.standard_normal((size, 1))
                 want = score_reference(model, x)
                 np.testing.assert_array_equal(table.labels, y)
                 assert table.scores.view(np.uint64).tolist() == want.view(np.uint64).tolist()
@@ -153,19 +150,18 @@ class TestSyntheticModel:
                 if temperature == 0.01 and size > 1:
                     assert np.any(want == 0.0)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
-    def test_peak_memory(self, dim):
-        # Besides its output the scorer holds one block of differences.
+    def test_peak_memory(self):
+        # The scorer works in its output: nothing else of size N x K is held.
         rng = np.random.default_rng(54)
-        model = SyntheticModel(rng.standard_normal((100, dim)), 1.0, 8.0)
-        x = rng.standard_normal((5000, dim))
+        model = SyntheticModel(rng.standard_normal((100, 1)), 1.0, 8.0)
+        x = rng.standard_normal((5000, 1))
         tracemalloc.start()
         try:
             out = model.score(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= out.nbytes + 8 * _BLOCK_ELEMENTS + PEAK_SLACK
+        assert peak <= out.nbytes + PEAK_SLACK
 
     def test_invalid_noise_scale(self):
         with pytest.raises(ValueError):
@@ -185,13 +181,18 @@ class TestSyntheticModel:
         with pytest.raises(ValueError, match="temperature"):
             SyntheticModel(class_centers=[[0.0], [4.0]], temperature=np.nan)
 
-    @pytest.mark.parametrize("x", [np.array([[1.0]]), np.ones((4, 2)), np.ones(3),
+    @pytest.mark.parametrize("x", [np.ones((1, 3)), np.ones((4, 2)), np.ones(3),
                                    np.ones((2, 3, 1))])
     def test_features_of_the_wrong_shape_raise(self, x):
-        # (N, 1) features would broadcast against every coordinate of a 3-D center.
-        model = SyntheticModel(class_centers=[[0, 0, 0], [1, 1, 1]])
-        with pytest.raises(ValueError, match=r"shape \(N, 3\)"):
-            model.score(x)
+        # A vector of K features would broadcast against the K centers as one row.
+        with pytest.raises(ValueError, match=r"shape \(N, 1\)"):
+            small_model().score(x)
+
+    @pytest.mark.parametrize("centers", [[0.0, 2.0], np.zeros((2, 3)), np.zeros((2, 1, 1))])
+    def test_centers_not_one_column_raise(self, centers):
+        # A flat list of two centers would otherwise be one class with two coordinates.
+        with pytest.raises(ValueError, match=r"shape \(K, 1\)"):
+            SyntheticModel(class_centers=centers)
 
 
 class TestSampleShifted:
@@ -217,8 +218,10 @@ class TestSampleShifted:
         assert src.is_labeled and test.is_labeled and not tgt.is_labeled
 
     def test_peak_memory(self):
-        # The three tables are built one after another, each scored a block
-        # at a time, so the peak is about the outputs themselves.
+        # The three tables are built one after another, each scored in its
+        # output, so the peak is about the outputs themselves; 512 KB and
+        # PEAK_SLACK cover one draw's features, labels and the generator's
+        # temporaries.
         spec = ShiftSpec(np.full(100, 0.01), tweak_one(100, 0.05), 5000, 5000, 5000)
         model = SyntheticModel(8.0 * np.arange(100.0)[:, None], 1.0, 8.0)
         tracemalloc.start()
@@ -228,7 +231,7 @@ class TestSampleShifted:
         finally:
             tracemalloc.stop()
         outputs = sum(t.scores.nbytes + (t.labels.nbytes if t.is_labeled else 0) for t in tables)
-        assert peak <= outputs + 8 * _BLOCK_ELEMENTS + PEAK_SLACK
+        assert peak <= outputs + 512 * 1024 + PEAK_SLACK
 
     def test_empty_draws(self):
         spec = ShiftSpec(np.full(2, 0.5), np.full(2, 0.5), 0, 5, 0)
