@@ -55,9 +55,9 @@ def _parse_rows(lines) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, dtype=float, ndmin=2)
 
 
-def _bad_labels(labels: np.ndarray, k: int) -> np.ndarray:
-    """Mask of label cells that are not integers in [0, k)."""
-    return ~((labels == np.floor(labels)) & (labels >= 0) & (labels < k))
+def _table(cells: np.ndarray, labeled: bool) -> ScoreTable:
+    """Build the table from parsed cells; ScoreTable says what a valid row is."""
+    return ScoreTable(cells[:, 1:], cells[:, 0]) if labeled else ScoreTable(cells)
 
 
 def _kept_lines(path: str):
@@ -78,11 +78,12 @@ def _kept_lines(path: str):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _first_bad_line(path: str, width: int, k: int, labeled: bool) -> DataError:
+def _first_bad_line(path: str, width: int, labeled: bool) -> DataError:
     """Re-read the data lines one at a time and describe the first bad one.
 
-    Only runs after the bulk parse has failed or found a bad label, so
-    error messages can name the physical line.
+    Only runs after the bulk read has failed, so error messages can name
+    the physical line.  Every ScoreTable rule is about one row, so the
+    line that breaks it is found here.
     """
     for lineno, line in itertools.islice(_kept_lines(path), 1, None):
         where = f"{path}:{lineno}"
@@ -93,8 +94,10 @@ def _first_bad_line(path: str, width: int, k: int, labeled: bool) -> DataError:
             row = _parse_rows([line])
         except ValueError:
             return DataError(f"{where}: non-numeric cell")
-        if labeled and _bad_labels(row[:, 0], k).any():
-            return DataError(f"{where}: label out of range")
+        try:
+            _table(row, labeled)
+        except ValueError as exc:
+            return DataError(f"{where}: {exc}")
         if line.count('"') % 2:
             # A bulk parse carries an open quote over into the next line.
             return DataError(f"{where}: unterminated quote")
@@ -121,7 +124,6 @@ def read_scores(path: str) -> ScoreTable:
     score_cols = header[1:] if labeled else header
     if score_cols != [f"s{i}" for i in range(len(score_cols))] or len(score_cols) < 2:
         raise DataError(f"{path}: bad header {header!r}")
-    k = len(score_cols)
     # An empty input would make np.loadtxt warn instead of failing.
     first_row = next(kept, None)
     if first_row is None:
@@ -136,22 +138,11 @@ def read_scores(path: str) -> ScoreTable:
 
     try:
         cells = _parse_rows(counted())
+        if cells.shape == (rows, len(header)):
+            return _table(cells, labeled)
     except ValueError:
-        cells = None
-    if (
-        cells is None
-        or cells.shape != (rows, len(header))
-        or (labeled and _bad_labels(cells[:, 0], k).any())
-    ):
-        raise _first_bad_line(path, len(header), k, labeled)
-    labels = None
-    if labeled:
-        labels = cells[:, 0].astype(int)
-        cells = cells[:, 1:]
-    try:
-        return ScoreTable(scores=cells, labels=labels)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        pass
+    raise _first_bad_line(path, len(header), labeled)
 
 
 def write_scores(path: str, table: ScoreTable):

@@ -102,11 +102,14 @@ def rejection_sample(
     Row i is accepted iff v_i <= w[y_i] / b, so rows of one label with tied
     v are accepted together.  This is the only acceptance rule: PS-W's
     worst case ranges over the cells it produces.  Negative weights are
-    clamped to zero (never accept).
+    clamped to zero (never accept); a non-finite w or b is a ValueError.
     """
+    w = np.asarray(w, dtype=float)
+    if not (math.isfinite(b) and np.isfinite(w).all()):
+        raise ValueError("weights and envelope b must be finite")
     if b <= 0:
         raise ValueError("envelope b must be positive")
-    w = np.clip(np.asarray(w, dtype=float), 0.0, None)
+    w = np.clip(w, 0.0, None)
     if w.shape != (src.k,):
         raise ValueError(f"need one weight per label, got shape {w.shape} for K={src.k}")
     if np.any(w > b * (1 + 1e-12)):
@@ -215,6 +218,8 @@ def wcp_threshold(src: ScoreTable, pointw: np.ndarray, eps: float) -> ThresholdR
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
     pointw = np.asarray(pointw, dtype=float)
+    if not np.isfinite(pointw).all():
+        raise ValueError("weights must be finite")
     u = pointw[src.labels]
     total = u.sum()
     if total <= 0:

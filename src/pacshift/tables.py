@@ -28,14 +28,15 @@ class ScoreTable:
         if not np.all(np.isfinite(self.scores).any(axis=1)) and self.n > 0:
             raise ValueError("every row needs at least one finite score")
         if self.labels is not None:
+            # Checked before the int cast, which turns NaN, inf or 1e300 into an arbitrary int.
             labels = np.asarray(self.labels)
+            if labels.shape != (self.n,):
+                raise ValueError("labels must be a vector matching the row count")
             if not np.array_equal(labels, np.floor(labels)):
                 raise ValueError("labels must be integers")
-            self.labels = np.asarray(labels, dtype=int)
-            if self.labels.shape != (self.scores.shape[0],):
-                raise ValueError("labels must be a vector matching the row count")
-            if self.n > 0 and (self.labels.min() < 0 or self.labels.max() >= self.k):
+            if self.n > 0 and (labels.min() < 0 or labels.max() >= self.k):
                 raise ValueError("labels out of range")
+            self.labels = np.asarray(labels, dtype=int)
             # A NaN or infinite true-label score would count as covered.
             if not np.isfinite(self.true_scores()).all():
                 raise ValueError("true-label scores must be finite")

@@ -103,6 +103,24 @@ class TestScoreRoundTrip:
         with pytest.raises(DataError, match=r"r\.csv:5: expected 2 cells, got 1"):
             read_scores(str(p))
 
+    @pytest.mark.parametrize("header, row, message", [
+        *(("label,s0,s1,s2", f"{lab},0.2,0.5,0.3", "labels must be integers")
+          for lab in ["1.5", "nan"]),
+        *(("label,s0,s1,s2", f"{lab},0.2,0.5,0.3", "labels out of range")
+          for lab in ["-1", "3", "inf", "1e300"]),
+        *(("label,s0,s1,s2", f"1,0.2,{bad},0.3", "true-label scores must be finite")
+          for bad in ["nan", "inf", "-inf"]),
+        ("s0,s1,s2", "nan,inf,-inf", "every row needs at least one finite score"),
+    ])
+    def test_table_rule_names_physical_line(self, tmp_path, header, row, message):
+        # Tag, header, comment, good row and blank line put the bad row on line 6.
+        good = "0,0.5,0.3,0.2" if header.startswith("label") else "0.5,0.3,0.2"
+        p = tmp_path / "t.csv"
+        p.write_text(f"{FORMAT_TAG}\n{header}\n# note\n{good}\n\n{row}\n{good}\n")
+        with pytest.raises(DataError) as err:
+            read_scores(str(p))
+        assert str(err.value) == f"{p}:6: {message}"
+
     def test_non_numeric_cell(self, tmp_path):
         p = tmp_path / "n.csv"
         p.write_text("s0,s1\n0.5,oops\n")
@@ -214,7 +232,8 @@ class TestCalibrateCommand:
         code = main(["calibrate", "--epsilon", "0.2", "--delta", "0.05",
                      "--source", src, "--target", tgt])
         assert code == EXIT_DATA
-        assert "true-label scores must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"data error: {src}:3: true-label scores must be finite\n"
 
     @pytest.mark.parametrize("which", ["--source", "--target"])
     @pytest.mark.parametrize("where", ["header", "row"])

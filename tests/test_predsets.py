@@ -195,6 +195,17 @@ class TestRejectionSample:
         with pytest.raises(ValueError, match="one weight per label"):
             rejection_sample(src, v, np.array(w), 1.0)
 
+    @pytest.mark.parametrize("w, b", [
+        ([np.nan, 1.0], 1.0), ([np.inf, 1.0], 1.0), ([-np.inf, 1.0], 1.0),
+        ([0.5, 0.5], np.inf), ([0.5, 0.5], np.nan),
+    ])
+    def test_non_finite_weights_rejected(self, w, b):
+        # A NaN weight would silently drop its label's rows.
+        rng = np.random.default_rng(23)
+        src, v, _, _ = random_instance(rng, m=10)
+        with pytest.raises(ValueError, match="must be finite"):
+            rejection_sample(src, v, np.array(w), b)
+
     def test_nan_uniform_rejected(self):
         with pytest.raises(ValueError, match="must lie in"):
             AcceptanceRandomness(v=[0.5, np.nan])
@@ -310,6 +321,13 @@ class TestPsrThreshold:
         src, v, _, rp = random_instance(rng)
         assert psr_threshold(src, v, np.array([0.0, 0.0]), rp).status == FULL_SET
 
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.inf, 1.0]])
+    def test_non_finite_weights_rejected(self, w):
+        rng = np.random.default_rng(33)
+        src, v, _, rp = random_instance(rng)
+        with pytest.raises(ValueError, match="must be finite"):
+            psr_threshold(src, v, np.array(w), rp)
+
     def test_equals_ps_on_accepted_subsample(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
@@ -338,6 +356,13 @@ class TestWcpThreshold:
         keep = np.flatnonzero(src.labels == 0)
         ref = wcp_threshold(src.subset(keep), np.array([1.0, 1.0]), 0.25)
         assert res.tau == ref.tau
+
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]])
+    def test_non_finite_weights_rejected(self, w):
+        rng = np.random.default_rng(36)
+        src, _, _, _ = random_instance(rng, m=60)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            wcp_threshold(src, np.array(w), 0.25)
 
     def test_weighted_order_statistic_oracle(self):
         rng = np.random.default_rng(37)

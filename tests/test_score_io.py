@@ -2,10 +2,11 @@
 
 ``oracle_read_scores`` is the reader that parsed one ``float()`` per cell
 from ``csv`` rows, with errors naming the physical line (``csv``'s
-``line_num``) and non-finite labels rejected instead of crashing
-``int()``. ``reference_write_scores`` is the ``csv.writer`` writer. The
-bulk reader must give bitwise-equal tables and the same error at the same
-line; the bulk writer must give the same bytes.
+``line_num``). It checks each row against ScoreTable's rules in
+ScoreTable's order and with its messages, so a non-finite label is
+rejected instead of crashing ``int()``. ``reference_write_scores`` is the
+``csv.writer`` writer. The bulk reader must give bitwise-equal tables and
+the same error at the same line; the bulk writer must give the same bytes.
 """
 
 import csv
@@ -39,21 +40,22 @@ def oracle_read_scores(path):
             vals = [float(c) for c in row]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: non-numeric cell") from exc
+        row_scores = vals[1:] if labeled else vals
+        if not any(math.isfinite(x) for x in row_scores):
+            raise DataError(f"{path}:{lineno}: every row needs at least one finite score")
         if labeled:
             lab = vals[0]
-            if not math.isfinite(lab) or lab != int(lab) or not 0 <= int(lab) < k:
-                raise DataError(f"{path}:{lineno}: label out of range")
+            if math.isnan(lab) or (math.isfinite(lab) and lab != int(lab)):
+                raise DataError(f"{path}:{lineno}: labels must be integers")
+            if not 0 <= lab < k:
+                raise DataError(f"{path}:{lineno}: labels out of range")
+            if not math.isfinite(row_scores[int(lab)]):
+                raise DataError(f"{path}:{lineno}: true-label scores must be finite")
             labels.append(int(lab))
-            vals = vals[1:]
-        scores.append(vals)
+        scores.append(row_scores)
     if not scores:
         raise DataError(f"{path}: no data rows")
-    try:
-        return ScoreTable(
-            scores=np.array(scores), labels=np.array(labels) if labeled else None
-        )
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return ScoreTable(scores=np.array(scores), labels=np.array(labels) if labeled else None)
 
 
 def reference_write_scores(path, table):
@@ -195,9 +197,10 @@ class TestReaderMatchesOracle:
 def corrupt(rng, line, k, labeled):
     """Return a malformed variant of a data line."""
     cells = line.split(",")
-    kinds = ["drop", "extra", "word", "empty", "space"]
+    kinds = ["drop", "extra", "word", "empty", "space", "scores_nan"]
     if labeled:
-        kinds += ["label_half", "label_neg", "label_k", "label_nan", "label_inf"]
+        kinds += ["label_half", "label_neg", "label_k", "label_nan", "label_inf",
+                  "label_ninf", "label_big", "true_inf"]
     kind = rng.choice(kinds)
     j = int(rng.integers(0, len(cells)))
     if kind == "drop":
@@ -210,9 +213,14 @@ def corrupt(rng, line, k, labeled):
         cells[j] = ""
     elif kind == "space":
         return " " * int(rng.integers(1, 3))
+    elif kind == "scores_nan":
+        cells[int(labeled):] = ["nan"] * k
+    elif kind == "true_inf":
+        cells[1 + int(float(cells[0].strip('"')))] = rng.choice(["inf", "-inf", "nan"])
     else:
         cells[0] = {"label_half": "1.5", "label_neg": "-1", "label_k": str(k),
-                    "label_nan": "nan", "label_inf": "inf"}[kind]
+                    "label_nan": "nan", "label_inf": "inf", "label_ninf": "-inf",
+                    "label_big": "1e300"}[kind]
     return ",".join(cells)
 
 

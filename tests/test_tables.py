@@ -38,3 +38,10 @@ def test_non_integral_labels_rejected(labels):
 def test_integral_float_labels_accepted():
     t = table([[0.5, 0.5], [0.2, 0.8]], labels=[1.0, 0.0])
     assert t.labels.tolist() == [1, 0] and t.labels.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, 1e300, -1.0, 2.0])
+def test_out_of_range_labels_rejected_before_the_cast(bad):
+    # inf and 1e300 have no int64 value; casting them first warns and wraps.
+    with pytest.raises(ValueError, match="labels out of range"):
+        table([[0.5, 0.5], [0.2, 0.8]], labels=[bad, 0])
