@@ -36,6 +36,10 @@ from .weights import delta_split, interval_level, weight_box
 
 FORMAT_TAG = "# pacshift-v1"
 
+# The closed set of scenario keys with their defaults; None marks a required key.
+_SCENARIO_KEYS = {**dict.fromkeys(["source_dist", "target_dist", "m", "n", "o", "centers"]),
+                  "noise_scale": "1.0", "temperature": "1.0"}
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -60,11 +64,12 @@ def _table(cells: np.ndarray, labeled: bool) -> ScoreTable:
     return ScoreTable(cells[:, 1:], cells[:, 0]) if labeled else ScoreTable(cells)
 
 
-def _kept_lines(path: str):
+def _kept_lines(path: str, error: type[Exception] = DataError):
     """Yield (physical line number, line) for each line that is not skipped.
 
     The file is read one line at a time with universal newlines; empty
-    lines and lines starting with '#' are skipped.
+    lines and lines starting with '#' are skipped.  A file that cannot be
+    read, or is not UTF-8, raises ``error``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -73,9 +78,9 @@ def _kept_lines(path: str):
                 if line and line[0] != "#":
                     yield lineno, line
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def _first_bad_line(path: str, width: int, labeled: bool) -> DataError:
@@ -160,14 +165,22 @@ def write_scores(path: str, table: ScoreTable):
 
 
 def _write_tagged(path: str, head: list, lines, end: str):
-    """Write the version line, then the head and body lines, each ending in `end`.
+    """Write the version line ending in "\n", then every head and body line ending in `end`."""
+    body = (f"{line}{end}" for line in itertools.chain(head, lines))
+    _write(path, itertools.chain([FORMAT_TAG + "\n"], body))
 
-    The version line always ends in a bare newline.  Lines are written
-    without newline translation, so the bytes are the same on every platform.
+
+def _write(path: str | None, chunks):
+    """Write text chunks to the file at `path`, or to standard output if `path` is None.
+
+    The only code that opens an output file.  It writes UTF-8 without
+    newline translation, so the bytes are the same on every platform.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(FORMAT_TAG + "\n")
-        fh.writelines(f"{line}{end}" for line in itertools.chain(head, lines))
+    if path is None:
+        sys.stdout.writelines(chunks)
+    else:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def _json_float(x: float):
@@ -180,25 +193,22 @@ def read_scenario(path: str) -> tuple[ShiftSpec, SyntheticModel]:
 
     Keys: source_dist, target_dist (comma-separated), m, n, o, centers
     (one number per class, semicolon-separated), noise_scale (scalar or
-    one value per class, comma-separated), temperature.
+    one value per class, comma-separated), temperature.  Lines are
+    skipped as in a score file; every other line sets one key, once.
     """
     fields: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                fields[key.strip()] = value.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    required = {"source_dist", "target_dist", "m", "n", "o", "centers"}
-    missing = required - fields.keys()
+    for lineno, line in _kept_lines(path, ConfigError):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        if key in fields or key not in _SCENARIO_KEYS:
+            what = "repeated" if key in fields else "unknown"
+            raise ConfigError(f"{path}:{lineno}: {what} key {key!r}")
+        fields[key] = value
+    fields = {**_SCENARIO_KEYS, **fields}
+    missing = sorted(key for key, value in fields.items() if value is None)
     if missing:
-        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
+        raise ConfigError(f"{path}: missing keys {missing}")
     try:
         spec = ShiftSpec(
             source_dist=[float(x) for x in fields["source_dist"].split(",")],
@@ -209,10 +219,10 @@ def read_scenario(path: str) -> tuple[ShiftSpec, SyntheticModel]:
         )
         model = SyntheticModel(
             class_centers=[[float(x)] for x in fields["centers"].split(";")],
-            noise_scale=[float(x) for x in fields.get("noise_scale", "1.0").split(",")],
-            temperature=float(fields.get("temperature", "1.0")),
+            noise_scale=[float(x) for x in fields["noise_scale"].split(",")],
+            temperature=float(fields["temperature"]),
         )
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if model.k != spec.k:
         raise ConfigError(f"{path}: centers imply K={model.k}, distributions K={spec.k}")
@@ -232,19 +242,16 @@ def cmd_calibrate(args) -> int:
     rp = _risk_params(args)
     src = read_scores(args.source)
     tgt = read_scores(args.target)
-    if not src.is_labeled:
-        raise DataError("source table must be labeled")
-    if src.k != tgt.k:
-        raise DataError(f"K mismatch: source {src.k}, target {tgt.k}")
-
-    K = src.k
-    box_budget, calib_delta = delta_split(K, rp.delta)
-    box = weight_box(src, tgt, box_budget)
+    box_budget, calib_delta = delta_split(src.k, rp.delta)
+    try:
+        box = weight_box(src, tgt, box_budget)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     report = {
         "format": FORMAT_TAG.lstrip("# "),
         "epsilon": rp.epsilon,
         "delta": rp.delta,
-        "per_interval_delta": interval_level(K, box_budget),
+        "per_interval_delta": interval_level(src.k, box_budget),
         "calibration_delta": calib_delta,
         "seed": args.seed,
     }
@@ -266,7 +273,7 @@ def cmd_calibrate(args) -> int:
             message = f"tau = {result.tau:.6g}  (b = {box.envelope_b:.4g})"
         else:
             message = "full prediction set (no feasible threshold)"
-    _write_json(args.out, report)
+    _write(args.out, [json.dumps(report, indent=2) + "\n"])
     print(message, file=stream)
     return code
 
@@ -276,12 +283,12 @@ def cmd_experiment(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     spec, model = read_scenario(args.scenario)
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
     methods = args.method or list(METHODS)
     reports = run_trials(spec, model, methods, rp, args.trials, args.seed)
     summary = aggregate(reports, rp.epsilon)
 
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
     jsonl = os.path.join(out, "reports.jsonl")
     _write_tagged(jsonl, [], (
         json.dumps({"method": r.method, "trial": r.trial, "error": r.error,
@@ -300,15 +307,6 @@ def cmd_experiment(args) -> int:
         )
     print(f"wrote {jsonl} and {summary_path}")
     return EXIT_OK
-
-
-def _write_json(path: str | None, payload: dict):
-    text = json.dumps(payload, indent=2) + "\n"
-    if path:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,8 +344,10 @@ def main(argv=None) -> int:
         # argparse exits with 2 on bad usage, which matches our config code
         return int(exc.code) if exc.code else 0
     try:
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

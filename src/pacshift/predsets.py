@@ -104,6 +104,8 @@ def rejection_sample(
     worst case ranges over the cells it produces.  Negative weights are
     clamped to zero (never accept); a non-finite w or b is a ValueError.
     """
+    if not src.is_labeled:
+        raise ValueError("source table must be labeled")
     w = np.asarray(w, dtype=float)
     if not (math.isfinite(b) and np.isfinite(w).all()):
         raise ValueError("weights and envelope b must be finite")
@@ -159,8 +161,6 @@ def psw_threshold(
     """
     if isinstance(box, Aborted):
         return ThresholdResult(math.nan)
-    if not src.is_labeled:
-        raise ValueError("source table must be labeled")
     per_label = _per_label_acceptance(src, v, box)
 
     n_max = sum(int(acc[-1]) for acc, _ in per_label)

@@ -397,6 +397,48 @@ class TestExperimentCommand:
         capsys.readouterr()
 
 
+def experiment_argv(tmp_path, scenario: bytes, *extra):
+    path = tmp_path / "scenario.txt"
+    path.write_bytes(scenario)
+    return ["experiment", "--epsilon", "0.2", "--delta", "0.05", "--trials", "1",
+            "--scenario", str(path), "--out", str(tmp_path / "out"), *extra]
+
+
+def calibrate_argv(tmp_path, *extra):
+    rng = np.random.default_rng(76)
+    src = write_fixture(tmp_path / "s.csv", make_table(rng, 20, 2))
+    tgt = write_fixture(tmp_path / "t.csv", make_table(rng, 20, 2, labeled=False))
+    return ["calibrate", "--epsilon", "0.2", "--delta", "0.05",
+            "--source", src, "--target", tgt, *extra]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda d: experiment_argv(d, b"\xff"),
+     "{d}/scenario.txt: not UTF-8 text (invalid start byte)"),
+    (lambda d: experiment_argv(d, SCENARIO.replace("n = 400", " \t\nn = 400").encode()),
+     "{d}/scenario.txt:5: expected 'key = value'"),
+    (lambda d: experiment_argv(d, SCENARIO.replace("n = 400", "  # note\nn = 400").encode()),
+     "{d}/scenario.txt:5: expected 'key = value'"),
+    (lambda d: experiment_argv(d, (SCENARIO + "temprature = 2\n").encode()),
+     "{d}/scenario.txt:10: unknown key 'temprature'"),
+    (lambda d: experiment_argv(d, (SCENARIO + "m = 10\n").encode()),
+     "{d}/scenario.txt:10: repeated key 'm'"),
+    (lambda d: experiment_argv(d, SCENARIO.encode(), "--seed", "-1"), "--seed must be >= 0"),
+    (lambda d: calibrate_argv(d, "--seed", "-1", "--out", str(d / "out")), "--seed must be >= 0"),
+    (lambda d: calibrate_argv(d, "--out", str(d / "missing" / "r.json")),
+     "[Errno 2] No such file or directory: '{d}/missing/r.json'"),
+    (lambda d: calibrate_argv(d, "--out", str(d)), "[Errno 21] Is a directory: '{d}'"),
+    (lambda d: experiment_argv(d, SCENARIO.encode(), "--out", str(d / "scenario.txt")),
+     "[Errno 17] File exists: '{d}/scenario.txt'"),
+], ids=["non-utf8-scenario", "blank-scenario-line", "indented-comment", "unknown-key",
+        "repeated-key", "experiment-seed", "calibrate-seed", "calibrate-out-missing-dir",
+        "calibrate-out-is-dir", "experiment-out-is-file"])
+def test_config_error_without_traceback(tmp_path, capsys, argv, message):
+    assert main(argv(tmp_path)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message.format(d=tmp_path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # The seed-5 source table of this scenario has confusion counts 4 and 6, which
 # have no betaincinv lower endpoint at the CP level that --delta 1e-170 gives.
 TINY_DELTA_SCENARIO = """\

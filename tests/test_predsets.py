@@ -210,6 +210,19 @@ class TestRejectionSample:
         with pytest.raises(ValueError, match="must lie in"):
             AcceptanceRandomness(v=[0.5, np.nan])
 
+    @pytest.mark.parametrize("call", [
+        lambda src, v, w, rp: rejection_sample(src, v, w, 1.0),
+        lambda src, v, w, rp: psr_threshold(src, v, w, rp),
+        lambda src, v, w, rp: psw_threshold(src, v, WeightBox(w, w), rp),
+    ], ids=["rejection_sample", "psr_threshold", "psw_threshold"])
+    def test_unlabeled_source_rejected(self, call):
+        # With n == K, the missing labels would index w as w[None] and
+        # broadcast against v instead of failing.
+        src = ScoreTable(scores=np.full((3, 3), 1 / 3))
+        v = AcceptanceRandomness(v=[0.1, 0.5, 0.9])
+        with pytest.raises(ValueError, match="^source table must be labeled$"):
+            call(src, v, np.array([1.0, 0.5, 0.2]), RiskParams(0.1, 0.1))
+
 
 class TestPswThreshold:
     def test_singleton_box_equals_rejection_plus_ps(self):
