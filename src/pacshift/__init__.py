@@ -34,40 +34,3 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "RiskParams",
-    "binom_cdf",
-    "binom_k",
-    "cp_interval",
-    "Aborted",
-    "Interval",
-    "WeightBox",
-    "interval_gauss_elim",
-    "AcceptanceRandomness",
-    "ThresholdResult",
-    "evaluate_set",
-    "psc_threshold",
-    "psr_threshold",
-    "psw_threshold",
-    "ps_threshold",
-    "rejection_sample",
-    "wcp_threshold",
-    "METHODS",
-    "TrialReport",
-    "aggregate",
-    "run_trials",
-    "ShiftSpec",
-    "SyntheticModel",
-    "sample_shifted",
-    "true_weights",
-    "tweak_one",
-    "ScoreTable",
-    "SingularMatrix",
-    "bbse_point_weights",
-    "cp_bounds",
-    "delta_split",
-    "estimate_confusion",
-    "estimate_qhat",
-    "weight_box",
-]

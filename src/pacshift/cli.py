@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -29,7 +30,7 @@ import numpy as np
 from .binomial import RiskParams
 from .harness import METHODS, aggregate, run_trials
 from .intervals import Aborted
-from .predsets import CALIBRATED, AcceptanceRandomness, psw_threshold
+from .predsets import ABORTED, CALIBRATED, AcceptanceRandomness, psw_threshold
 from .shift_sim import ShiftSpec, SyntheticModel
 from .tables import ScoreTable
 from .weights import delta_split, interval_level, weight_box
@@ -238,11 +239,18 @@ def _risk_params(args) -> RiskParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _delta_split(K: int, delta: float) -> tuple[float, float]:
+    try:
+        return delta_split(K, delta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_calibrate(args) -> int:
     rp = _risk_params(args)
     src = read_scores(args.source)
     tgt = read_scores(args.target)
-    box_budget, calib_delta = delta_split(src.k, rp.delta)
+    box_budget, calib_delta = _delta_split(src.k, rp.delta)
     try:
         box = weight_box(src, tgt, box_budget)
     except ValueError as exc:
@@ -256,7 +264,7 @@ def cmd_calibrate(args) -> int:
         "seed": args.seed,
     }
     if isinstance(box, Aborted):
-        report.update(status="aborted", abort_step=box.step, abort_reason=box.reason)
+        report.update(status=ABORTED, abort_step=box.step, abort_reason=box.reason)
         code, stream, message = EXIT_ABORT, sys.stderr, f"aborted at step {box.step}: {box.reason}"
     else:
         v = AcceptanceRandomness.draw(src.n, args.seed)
@@ -283,6 +291,7 @@ def cmd_experiment(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     spec, model = read_scenario(args.scenario)
+    _delta_split(spec.k, rp.delta)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     methods = args.method or list(METHODS)
@@ -291,8 +300,7 @@ def cmd_experiment(args) -> int:
 
     jsonl = os.path.join(out, "reports.jsonl")
     _write_tagged(jsonl, [], (
-        json.dumps({"method": r.method, "trial": r.trial, "error": r.error,
-                    "avg_size": r.avg_size, "tau": _json_float(r.tau), "aborted": r.aborted})
+        json.dumps({**dataclasses.asdict(r), "tau": _json_float(r.tau), "aborted": r.aborted})
         for r in reports
     ), "\n")
     summary_path = os.path.join(out, "summary.csv")

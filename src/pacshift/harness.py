@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binomial import RiskParams
-from .intervals import WeightBox
 from .predsets import (
     AcceptanceRandomness,
     ThresholdResult,
@@ -49,7 +48,6 @@ class TrialReport:
     error: float
     avg_size: float
     tau: float
-    weight_box: WeightBox | None = None
 
     @property
     def aborted(self) -> bool:
@@ -110,8 +108,7 @@ def run_trials(
         for method in methods:
             result = calibrators[method]()
             error, avg_size = evaluate_set(result, test)
-            snapshot = box if method in ("PS-W", "PS-C") and isinstance(box, WeightBox) else None
-            reports.append(TrialReport(method, trial, error, avg_size, result.tau, snapshot))
+            reports.append(TrialReport(method, trial, error, avg_size, result.tau))
     return reports
 
 

@@ -42,11 +42,6 @@ class Interval:
         if not np.all(self.lo <= self.hi):
             raise ValueError("lo must be <= hi elementwise")
 
-    @classmethod
-    def exact(cls, a) -> "Interval":
-        a = np.asarray(a, dtype=float)
-        return cls(a.copy(), a.copy())
-
 
 class WeightBox(Interval):
     """Per-label interval [lo_k, hi_k] around the importance weights.
@@ -64,10 +59,6 @@ class WeightBox(Interval):
     @property
     def envelope_b(self) -> float:
         return float(self.hi.max())
-
-    def contains(self, w) -> bool:
-        w = np.asarray(w, dtype=float)
-        return bool(np.all(self.lo <= w) and np.all(w <= self.hi))
 
     def clamped_lo(self) -> np.ndarray:
         return np.clip(self.lo, 0.0, None)

@@ -86,8 +86,8 @@ class SyntheticModel:
         # Written as not-all so that NaN values are rejected too.
         if not np.all((0 < self.noise_scale) & (self.noise_scale < np.inf)):
             raise ValueError("noise_scale must be positive and finite")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be positive and finite")
 
     @property
     def k(self) -> int:

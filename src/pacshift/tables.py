@@ -54,8 +54,12 @@ class ScoreTable:
         return self.labels is not None
 
     def predicted(self) -> np.ndarray:
-        """Induced classifier argmax_k f(x, k); ties go to the lowest index."""
-        return np.argmax(self.scores, axis=1)
+        """Induced classifier argmax_k f(x, k), NaN scores skipped; ties go to the lowest index."""
+        pred = np.argmax(self.scores, axis=1)
+        # np.argmax picks a row's first NaN, so only those rows are picked again.
+        nan_rows = np.flatnonzero(np.isnan(self.scores[np.arange(self.n), pred]))
+        pred[nan_rows] = np.nanargmax(self.scores[nan_rows], axis=1)
+        return pred
 
     def true_scores(self) -> np.ndarray:
         """Scores of the true labels, f(x_i, y_i)."""

@@ -56,10 +56,15 @@ def delta_split(K: int, delta: float) -> tuple[float, float]:
 
     The K(K+1) elementwise intervals share the first part equally (see
     interval_level); the remaining delta/(K(K+1)+1) is reserved for
-    threshold calibration.
+    threshold calibration.  Raises ValueError if delta is too small for the
+    calibration level and each interval's level to be positive.
     """
-    calib = delta / (_n_intervals(K) + 1)
-    return delta - calib, calib
+    parts = _n_intervals(K) + 1
+    calib = delta / parts
+    box_budget = delta - calib
+    if not (calib > 0 and interval_level(K, box_budget) > 0):
+        raise ValueError(f"delta {delta} is too small to split over {parts} levels")
+    return box_budget, calib
 
 
 def interval_level(K: int, box_budget: float) -> float:

@@ -1,7 +1,7 @@
-"""Brute-force oracles shared by the calibrator tests.
+"""Brute-force oracles and small interval helpers shared by the tests.
 
-Each is computed independently of the library: the binomial tail by
-scipy's CDF scan, and PS-W by enumerating every acceptance cell of the
+Each oracle is computed independently of the library: the binomial tail
+by scipy's CDF scan, and PS-W by enumerating every acceptance cell of the
 rejection sampler.  Both are slow and meant for tiny instances only.
 """
 
@@ -10,6 +10,20 @@ import math
 
 import numpy as np
 from scipy import stats
+
+from pacshift import Interval
+
+
+def exact(a) -> Interval:
+    """The zero-width interval [a, a]; lo and hi are separate copies."""
+    a = np.asarray(a, dtype=float)
+    return Interval(a.copy(), a.copy())
+
+
+def contains(box, w) -> bool:
+    """Whether lo_k <= w_k <= hi_k for every label k."""
+    w = np.asarray(w, dtype=float)
+    return bool(np.all(box.lo <= w) and np.all(w <= box.hi))
 
 
 def binom_k_oracle(m, rp):

@@ -41,7 +41,7 @@ from pacshift import (
 from pacshift import cli, harness, weights
 from pacshift.cli import write_scores
 
-from oracles import psw_brute_force
+from oracles import exact, psw_brute_force
 
 
 def report(capsys, name, ok, detail=""):
@@ -149,7 +149,7 @@ def test_criterion_2_interval_containment(capsys):
         c = rng.uniform(0.0, 0.08, size=(k, k))
         c[np.diag_indices(k)] = rng.uniform(0.5, 1.0, size=k)
         w = rng.uniform(0.2, 3.0, size=k)
-        box = interval_gauss_elim(Interval.exact(c), Interval.exact(c @ w))
+        box = interval_gauss_elim(exact(c), exact(c @ w))
         assert isinstance(box, WeightBox)
         degen_err = max(degen_err, float(np.max(np.abs(box.lo - w))),
                         float(np.max(np.abs(box.hi - w))))

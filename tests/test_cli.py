@@ -11,7 +11,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pacshift import RiskParams, ScoreTable, aggregate, run_trials, sample_shifted
+from pacshift import (
+    RiskParams,
+    ScoreTable,
+    aggregate,
+    estimate_confusion,
+    run_trials,
+    sample_shifted,
+)
 from pacshift.cli import (
     EXIT_ABORT,
     EXIT_CONFIG,
@@ -235,6 +242,14 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert err == f"data error: {src}:3: true-label scores must be finite\n"
 
+    def test_nan_off_label_score_is_never_predicted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("label,s0,s1,s2\n0,0.3,nan,0.7\n2,nan,0.1,0.5\n1,0.2,0.2,nan\n")
+        conf = estimate_confusion(read_scores(str(path)))
+        want = np.zeros((3, 3), dtype=int)
+        want[2, 0] = want[2, 2] = want[0, 1] = 1  # [predicted, true]
+        np.testing.assert_array_equal(conf, want)
+
     @pytest.mark.parametrize("which", ["--source", "--target"])
     @pytest.mark.parametrize("where", ["header", "row"])
     def test_non_utf8_file_is_data_error(self, tmp_path, capsys, which, where):
@@ -370,9 +385,10 @@ class TestExperimentCommand:
         ("noise_scale = 1,1,36", "noise_scale = 1,nan,36"),
         ("noise_scale = 1,1,36", "noise_scale = 1,inf,36"),
         ("temperature = 430", "temperature = nan"),
+        ("temperature = 430", "temperature = inf"),
         ("centers = -6;6;0", "centers = -6;nan;0"),
     ], ids=["source_dist", "target_dist", "noise_scale", "noise_scale-inf", "temperature",
-            "centers"])
+            "temperature-inf", "centers"])
     def test_non_finite_scenario_value_is_config_error(self, tmp_path, capsys, old, new):
         code = main(["experiment", "--epsilon", "0.2", "--delta", "0.05",
                      "--scenario", self._scenario(tmp_path, SCENARIO.replace(old, new)),
@@ -430,9 +446,14 @@ def calibrate_argv(tmp_path, *extra):
     (lambda d: calibrate_argv(d, "--out", str(d)), "[Errno 21] Is a directory: '{d}'"),
     (lambda d: experiment_argv(d, SCENARIO.encode(), "--out", str(d / "scenario.txt")),
      "[Errno 17] File exists: '{d}/scenario.txt'"),
+    (lambda d: experiment_argv(d, SCENARIO.encode(), "--delta", "5e-324"),
+     "delta 5e-324 is too small to split over 13 levels"),
+    (lambda d: calibrate_argv(d, "--delta", "5e-324", "--out", str(d / "out")),
+     "delta 5e-324 is too small to split over 7 levels"),
 ], ids=["non-utf8-scenario", "blank-scenario-line", "indented-comment", "unknown-key",
         "repeated-key", "experiment-seed", "calibrate-seed", "calibrate-out-missing-dir",
-        "calibrate-out-is-dir", "experiment-out-is-file"])
+        "calibrate-out-is-dir", "experiment-out-is-file", "experiment-tiny-delta",
+        "calibrate-tiny-delta"])
 def test_config_error_without_traceback(tmp_path, capsys, argv, message):
     assert main(argv(tmp_path)) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message.format(d=tmp_path)}\n"

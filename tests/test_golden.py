@@ -16,11 +16,13 @@ from pacshift import (
     ShiftSpec,
     SyntheticModel,
     bbse_point_weights,
+    delta_split,
     estimate_confusion,
     estimate_qhat,
     run_trials,
     sample_shifted,
     tweak_one,
+    weight_box,
 )
 from pacshift.harness import trial_rng
 
@@ -61,16 +63,20 @@ def test_every_method_tau(reports):
     assert not any(r.aborted for r in reports)
 
 
-def test_weight_box(reports):
-    for r in reports:
-        if r.method in ("PS-W", "PS-C"):
-            assert hexes(r.weight_box.lo) == BOX_LO
-            assert hexes(r.weight_box.hi) == BOX_HI
-            assert float(r.weight_box.envelope_b).hex() == BOX_HI[2]
+def trial_data():
+    """The trial's data, drawn the way run_trials draws it."""
+    data_seed = int(trial_rng(SEED, 0).integers(2**62))
+    return sample_shifted(SPEC, MODEL, data_seed)
+
+
+def test_weight_box():
+    src, tgt, _ = trial_data()
+    box = weight_box(src, tgt, delta_split(SPEC.k, RP.delta)[0])
+    assert hexes(box.lo) == BOX_LO
+    assert hexes(box.hi) == BOX_HI
+    assert float(box.envelope_b).hex() == BOX_HI[2]
 
 
 def test_bbse_weights():
-    # The trial's data, drawn the way run_trials draws it.
-    data_seed = int(trial_rng(SEED, 0).integers(2**62))
-    src, tgt, _ = sample_shifted(SPEC, MODEL, data_seed)
+    src, tgt, _ = trial_data()
     assert hexes(bbse_point_weights(estimate_confusion(src), estimate_qhat(tgt))) == BBSE

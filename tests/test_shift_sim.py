@@ -181,6 +181,11 @@ class TestSyntheticModel:
         with pytest.raises(ValueError, match="temperature"):
             SyntheticModel(class_centers=[[0.0], [4.0]], temperature=np.nan)
 
+    @pytest.mark.parametrize("temperature", [0.0, np.inf])
+    def test_temperature_must_be_positive_and_finite(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            SyntheticModel(class_centers=[[0.0], [4.0]], temperature=temperature)
+
     @pytest.mark.parametrize("x", [np.ones((1, 3)), np.ones((4, 2)), np.ones(3),
                                    np.ones((2, 3, 1))])
     def test_features_of_the_wrong_shape_raise(self, x):

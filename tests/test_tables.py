@@ -45,3 +45,9 @@ def test_out_of_range_labels_rejected_before_the_cast(bad):
     # inf and 1e300 have no int64 value; casting them first warns and wraps.
     with pytest.raises(ValueError, match="labels out of range"):
         table([[0.5, 0.5], [0.2, 0.8]], labels=[bad, 0])
+
+
+def test_predicted_skips_nan_scores():
+    # The argmax over each row's non-NaN scores, ties to the lowest index.
+    t = table([[0.3, np.nan, 0.7], [np.nan, np.nan, 0.5], [0.2, 0.2, np.nan]])
+    assert t.predicted().tolist() == [2, 2, 0]

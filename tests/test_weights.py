@@ -11,7 +11,6 @@ import pytest
 
 from pacshift import (
     Aborted,
-    Interval,
     ScoreTable,
     ShiftSpec,
     SingularMatrix,
@@ -29,6 +28,10 @@ from pacshift import (
     tweak_one,
     weight_box,
 )
+
+from pacshift.weights import interval_level
+
+from oracles import contains, exact
 
 
 def random_table(rng, n, k, labeled=True):
@@ -92,6 +95,24 @@ class TestDeltaSplit:
     def test_interval_budget_dominates(self):
         box_budget, calib = delta_split(3, 5e-4)
         assert box_budget == pytest.approx(12 * calib, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 100])
+    def test_too_small_to_split_raises(self, k):
+        with pytest.raises(ValueError, match=f"too small to split over {k * (k + 1) + 1} levels"):
+            delta_split(k, 5e-324)
+
+    @pytest.mark.parametrize("k", [2, 3, 100])
+    def test_smallest_delta_that_splits_is_accepted(self, k):
+        # Walk up the subnormals, each a multiple of the smallest, to the first
+        # delta whose calibration level and per-interval level are both positive.
+        parts = k * (k + 1) + 1
+        delta = 5e-324
+        while not (delta / parts > 0 and interval_level(k, delta - delta / parts) > 0):
+            with pytest.raises(ValueError, match="too small to split"):
+                delta_split(k, delta)
+            delta += 5e-324
+        box_budget, calib = delta_split(k, delta)
+        assert calib > 0 and interval_level(k, box_budget) > 0
 
 
 class TestCpBounds:
@@ -206,9 +227,7 @@ class TestWeightBox:
         conf = rng.multinomial(3000, np.ones(9) / 9).reshape(3, 3)
         conf[np.diag_indices(3)] += 600
         qh = rng.multinomial(800, np.ones(3) / 3)
-        box = interval_gauss_elim(
-            Interval.exact(conf / conf.sum()), Interval.exact(qh / qh.sum())
-        )
+        box = interval_gauss_elim(exact(conf / conf.sum()), exact(qh / qh.sum()))
         point = bbse_point_weights(conf, qh)
         assert isinstance(box, WeightBox)
         np.testing.assert_allclose(box.lo, point, atol=1e-8)
@@ -220,7 +239,7 @@ class TestWeightBox:
         src, tgt, _ = sample_shifted(spec, model, seed=16)
         box = weight_box(src, tgt, 4e-4)
         assert isinstance(box, WeightBox)
-        assert box.contains(np.ones(3))
+        assert contains(box, np.ones(3))
 
     def test_k_mismatch_raises(self):
         rng = np.random.default_rng(17)
@@ -235,7 +254,7 @@ class TestWeightBox:
         for seed in range(100):
             src, tgt, _ = sample_shifted(spec, model, seed=seed)
             box = weight_box(src, tgt, 4e-4)
-            if isinstance(box, WeightBox) and box.contains(w_true):
+            if isinstance(box, WeightBox) and contains(box, w_true):
                 contained += 1
         assert contained >= 99
 
@@ -249,7 +268,7 @@ class TestWeightBox:
         for seed in range(100):
             src, tgt, _ = sample_shifted(spec, model, seed=seed)
             box = weight_box(src, tgt, 4e-4)
-            if isinstance(box, WeightBox) and box.contains(w_true):
+            if isinstance(box, WeightBox) and contains(box, w_true):
                 contained += 1
         assert contained >= 99
 
