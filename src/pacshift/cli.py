@@ -110,6 +110,19 @@ def _first_bad_line(path: str, width: int, labeled: bool) -> DataError:
     return DataError(f"{path}: malformed score rows")
 
 
+def _score_header(path: str, kept) -> tuple[bool, int]:
+    """Read and check a score file's header from its kept lines: (labeled, K)."""
+    first = next(kept, None)
+    if first is None:
+        raise DataError(f"{path}: empty score file")
+    header = [h.strip() for h in next(csv.reader([first[1]]))]
+    labeled = header[0] == "label"
+    score_cols = header[1:] if labeled else header
+    if score_cols != [f"s{i}" for i in range(len(score_cols))] or len(score_cols) < 2:
+        raise DataError(f"{path}: bad header {header!r}")
+    return labeled, len(score_cols)
+
+
 def read_scores(path: str) -> ScoreTable:
     """Read a score table from CSV.
 
@@ -122,14 +135,7 @@ def read_scores(path: str) -> ScoreTable:
     streamed, so no copy of its text is held beside the parsed table.
     """
     kept = _kept_lines(path)
-    first = next(kept, None)
-    if first is None:
-        raise DataError(f"{path}: empty score file")
-    header = [h.strip() for h in next(csv.reader([first[1]]))]
-    labeled = header[0] == "label"
-    score_cols = header[1:] if labeled else header
-    if score_cols != [f"s{i}" for i in range(len(score_cols))] or len(score_cols) < 2:
-        raise DataError(f"{path}: bad header {header!r}")
+    labeled, k = _score_header(path, kept)
     # An empty input would make np.loadtxt warn instead of failing.
     first_row = next(kept, None)
     if first_row is None:
@@ -144,11 +150,11 @@ def read_scores(path: str) -> ScoreTable:
 
     try:
         cells = _parse_rows(counted())
-        if cells.shape == (rows, len(header)):
+        if cells.shape == (rows, k + labeled):
             return _table(cells, labeled)
     except ValueError:
         pass
-    raise _first_bad_line(path, len(header), labeled)
+    raise _first_bad_line(path, k + labeled, labeled)
 
 
 def write_scores(path: str, table: ScoreTable):
@@ -169,6 +175,13 @@ def _write_tagged(path: str, head: list, lines, end: str):
     """Write the version line ending in "\n", then every head and body line ending in `end`."""
     body = (f"{line}{end}" for line in itertools.chain(head, lines))
     _write(path, itertools.chain([FORMAT_TAG + "\n"], body))
+
+
+def _check_out(path: str | None):
+    """If writing `path` must fail (a directory, or in a missing one), fail now; create nothing."""
+    parent = os.path.dirname(path or "") or "."
+    if path is not None and (os.path.isdir(path) or not os.path.isdir(parent)):
+        open(path, "w").close()
 
 
 def _write(path: str | None, chunks):
@@ -232,34 +245,28 @@ def read_scenario(path: str) -> tuple[ShiftSpec, SyntheticModel]:
     return spec, model
 
 
-def _risk_params(args) -> RiskParams:
+def _call(error: type[Exception], fn, *args):
+    """Return fn(*args), re-raising its ValueError as `error`."""
     try:
-        return RiskParams(epsilon=args.epsilon, delta=args.delta)
+        return fn(*args)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _delta_split(K: int, delta: float) -> tuple[float, float]:
-    try:
-        return delta_split(K, delta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise error(str(exc)) from exc
 
 
 def cmd_calibrate(args) -> int:
-    rp = _risk_params(args)
+    rp = _call(ConfigError, RiskParams, args.epsilon, args.delta)
+    _check_out(args.out)
+    # K from the source header alone, so a too-small delta is reported before the data is read.
+    _, k = _score_header(args.source, _kept_lines(args.source))
+    box_budget, calib_delta = _call(ConfigError, delta_split, k, rp.delta)
     src = read_scores(args.source)
     tgt = read_scores(args.target)
-    box_budget, calib_delta = _delta_split(src.k, rp.delta)
-    try:
-        box = weight_box(src, tgt, box_budget)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    box = _call(DataError, weight_box, src, tgt, box_budget)
     report = {
         "format": FORMAT_TAG.lstrip("# "),
         "epsilon": rp.epsilon,
         "delta": rp.delta,
-        "per_interval_delta": interval_level(src.k, box_budget),
+        "per_interval_delta": interval_level(k, box_budget),
         "calibration_delta": calib_delta,
         "seed": args.seed,
     }
@@ -269,13 +276,8 @@ def cmd_calibrate(args) -> int:
     else:
         v = AcceptanceRandomness.draw(src.n, args.seed)
         result = psw_threshold(src, v, box, RiskParams(rp.epsilon, calib_delta))
-        report.update(
-            status=result.status,
-            tau=_json_float(result.tau),
-            weight_box={
-                "lo": box.lo.tolist(), "hi": box.hi.tolist(), "envelope_b": box.envelope_b
-            },
-        )
+        box_json = {"lo": box.lo.tolist(), "hi": box.hi.tolist(), "envelope_b": box.envelope_b}
+        report.update(status=result.status, tau=_json_float(result.tau), weight_box=box_json)
         code, stream = EXIT_OK, sys.stdout
         if result.status == CALIBRATED:
             message = f"tau = {result.tau:.6g}  (b = {box.envelope_b:.4g})"
@@ -287,11 +289,11 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    rp = _risk_params(args)
+    rp = _call(ConfigError, RiskParams, args.epsilon, args.delta)
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
     spec, model = read_scenario(args.scenario)
-    _delta_split(spec.k, rp.delta)
+    _call(ConfigError, delta_split, spec.k, rp.delta)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     methods = args.method or list(METHODS)

@@ -13,8 +13,8 @@ Calibrators:
   rejection-sampled source.  The sampler accepts a row iff
   ``v <= w[y] / b``, so rows with tied v are accepted together and each
   label's accepted rows form a prefix in v order.  Computed exactly via a
-  per-label breakpoint / dynamic-programming scheme over exactly the
-  sampler's cells (finitely many cover the box).
+  per-label breakpoint scheme over the sampler's cells and a dynamic program
+  over the reachable total sample sizes only.
 * ``psc_threshold``  - conservative baseline: inflate the error budget by
   the envelope bound b and calibrate unweighted.
 * ``psr_threshold``  - rejection sampling with plug-in weights, ignoring
@@ -167,21 +167,21 @@ def psw_threshold(
     kbin = binom_k(np.arange(n_max + 1), rp)
 
     def fails(tau: float) -> bool:
-        # dp[N] = worst (max) total error count over patterns of total size N;
-        # -1 marks unreachable sizes.
-        dp = np.full(n_max + 1, -1, dtype=np.int64)
-        dp[0] = 0
+        # dp[i] = worst (max) total error count over patterns of total size
+        # low + i.  Sizes outside [low, low + len(dp)) cannot be reached by
+        # the labels so far, and -1 marks unreachable sizes inside it.
+        dp, low = np.zeros(1, dtype=np.int64), 0
         for acc, sk in per_label:
             errs = np.concatenate(([0], np.cumsum(sk < tau)))
-            new_dp = np.full(n_max + 1, -1, dtype=np.int64)
+            new_dp = np.full(len(dp) + acc[-1] - acc[0], -1, dtype=np.int64)
             for a in acc:
                 e = errs[a]
-                seg = dp[: n_max + 1 - a]
-                shifted = np.where(seg < 0, -1, seg + e)
-                np.maximum(new_dp[a:], shifted, out=new_dp[a:])
-            dp = new_dp
+                seg = new_dp[a - acc[0] : a - acc[0] + len(dp)]
+                shifted = np.where(dp < 0, -1, dp + e)
+                np.maximum(seg, shifted, out=seg)
+            dp, low = new_dp, low + int(acc[0])
         # Unreachable sizes hold -1 and kbin >= -1, so only reachable ones fail.
-        return bool(np.any(dp > kbin))
+        return bool(np.any(dp > kbin[low : low + len(dp)]))
 
     candidates = np.unique(src.true_scores())
     # fails() is monotone in tau: raising tau only adds errors.

@@ -1,10 +1,14 @@
 """Brute-force oracles and small interval helpers shared by the tests.
 
-Each oracle is computed independently of the library: the binomial tail
-by scipy's CDF scan, and PS-W by enumerating every acceptance cell of the
-rejection sampler.  Both are slow and meant for tiny instances only.
+Each brute-force oracle is computed independently of the library: the
+binomial tail by scipy's CDF scan, and PS-W by enumerating every acceptance
+cell of the rejection sampler.  Both are slow and meant for tiny instances
+only.  ``psw_full_table`` is PS-W's earlier dynamic program over every total
+size 0..n_max, kept to check the windowed one at sizes the brute force
+cannot reach.
 """
 
+import bisect
 import itertools
 import math
 
@@ -12,6 +16,8 @@ import numpy as np
 from scipy import stats
 
 from pacshift import Interval
+from pacshift.binomial import binom_k
+from pacshift.predsets import _per_label_acceptance
 
 
 def exact(a) -> Interval:
@@ -67,3 +73,35 @@ def psw_brute_force(src, v, box, rp):
         rows = sorted(set().union(*combo))
         best = min(best, ps_oracle(s_true[rows], rp))
     return best
+
+
+def psw_full_table(src, v, box, rp):
+    """PS-W's tau from the DP that keeps every total size 0..n_max."""
+    per_label = _per_label_acceptance(src, v, box)
+
+    n_max = sum(int(acc[-1]) for acc, _ in per_label)
+    kbin = binom_k(np.arange(n_max + 1), rp)
+
+    def fails(tau: float) -> bool:
+        # dp[N] = worst (max) total error count over patterns of total size N;
+        # -1 marks unreachable sizes.
+        dp = np.full(n_max + 1, -1, dtype=np.int64)
+        dp[0] = 0
+        for acc, sk in per_label:
+            errs = np.concatenate(([0], np.cumsum(sk < tau)))
+            new_dp = np.full(n_max + 1, -1, dtype=np.int64)
+            for a in acc:
+                e = errs[a]
+                seg = dp[: n_max + 1 - a]
+                shifted = np.where(seg < 0, -1, seg + e)
+                np.maximum(new_dp[a:], shifted, out=new_dp[a:])
+            dp = new_dp
+        # Unreachable sizes hold -1 and kbin >= -1, so only reachable ones fail.
+        return bool(np.any(dp > kbin))
+
+    candidates = np.unique(src.true_scores())
+    # fails() is monotone in tau: raising tau only adds errors.
+    first_fail = bisect.bisect_left(candidates, True, key=fails)
+    if first_fail == 0:
+        return -math.inf
+    return float(candidates[first_fail - 1])

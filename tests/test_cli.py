@@ -44,6 +44,11 @@ def write_fixture(path, table):
     return str(path)
 
 
+def write_text(path, text):
+    path.write_text(text)
+    return str(path)
+
+
 SCENARIO = """\
 # three-class scenario, heavy shift onto the hard class
 source_dist = 0.2,0.2,0.6
@@ -450,10 +455,19 @@ def calibrate_argv(tmp_path, *extra):
      "delta 5e-324 is too small to split over 13 levels"),
     (lambda d: calibrate_argv(d, "--delta", "5e-324", "--out", str(d / "out")),
      "delta 5e-324 is too small to split over 7 levels"),
+    # --out is checked before either score file is opened.
+    (lambda d: ["calibrate", "--epsilon", "0.2", "--delta", "0.05", "--source", str(d / "no.csv"),
+                "--target", str(d / "no.csv"), "--out", str(d / "missing" / "r.json")],
+     "[Errno 2] No such file or directory: '{d}/missing/r.json'"),
+    # delta is checked against K from the source header before any data row is parsed.
+    (lambda d: ["calibrate", "--epsilon", "0.2", "--delta", "5e-324",
+                "--source", write_text(d / "s.csv", "label,s0,s1\nx,y,z\n"),
+                "--target", str(d / "no.csv"), "--out", str(d / "out")],
+     "delta 5e-324 is too small to split over 7 levels"),
 ], ids=["non-utf8-scenario", "blank-scenario-line", "indented-comment", "unknown-key",
         "repeated-key", "experiment-seed", "calibrate-seed", "calibrate-out-missing-dir",
         "calibrate-out-is-dir", "experiment-out-is-file", "experiment-tiny-delta",
-        "calibrate-tiny-delta"])
+        "calibrate-tiny-delta", "calibrate-out-before-source", "calibrate-delta-before-rows"])
 def test_config_error_without_traceback(tmp_path, capsys, argv, message):
     assert main(argv(tmp_path)) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message.format(d=tmp_path)}\n"

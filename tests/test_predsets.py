@@ -17,19 +17,25 @@ from pacshift import (
     AcceptanceRandomness,
     RiskParams,
     ScoreTable,
+    ShiftSpec,
+    SyntheticModel,
     ThresholdResult,
     WeightBox,
+    delta_split,
     evaluate_set,
     ps_threshold,
     psc_threshold,
     psr_threshold,
     psw_threshold,
     rejection_sample,
+    sample_shifted,
+    tweak_one,
     wcp_threshold,
+    weight_box,
 )
 from pacshift.predsets import ABORTED, CALIBRATED, FULL_SET
 
-from oracles import ps_oracle, psw_brute_force
+from oracles import ps_oracle, psw_brute_force, psw_full_table
 
 
 def random_instance(rng, m=None, ties=False):
@@ -63,7 +69,8 @@ def planted_boundary_instance(rng):
             return src, v, w, rp
 
 
-AWKWARD_PSW = ["empty-label", "all-tied-v", "m=1", "k=2", "delta-near-0", "delta-near-1"]
+AWKWARD_PSW = ["empty-label", "all-tied-v", "m=1", "k=2", "delta-near-0", "delta-near-1",
+               "high-lower-corners"]
 
 
 def awkward_instance(rng, case):
@@ -71,7 +78,9 @@ def awkward_instance(rng, case):
 
     v takes quarters, so ties are common in every kind.  Near delta = 0 the
     sample is larger, the box narrow and high and epsilon large, so that
-    every acceptance pattern is big enough for some tau to pass.
+    every acceptance pattern is big enough for some tau to pass.  With high
+    lower corners every label has a row at v = 0, so each label's shortest
+    prefix is not empty, and at least one label's box width is zero.
     """
     k = 2 if case == "k=2" else 3
     if case == "m=1":
@@ -92,6 +101,12 @@ def awkward_instance(rng, case):
         epsilon, delta = rng.uniform(0.6, 0.95), 10.0 ** -rng.integers(6, 13)
     elif case == "delta-near-1":
         delta = 1 - 10.0 ** -rng.integers(6, 13)
+    elif case == "high-lower-corners":
+        labels[:k], v[:k] = np.arange(k), 0.0
+        lo = rng.uniform(0.3, 1.0, size=k)
+        width = rng.uniform(0.0, 0.5, size=k)
+        width[rng.integers(k)] = 0.0
+        hi = lo + width
     src = ScoreTable(scores=scores, labels=labels)
     return src, AcceptanceRandomness(v=v), WeightBox(lo, hi), RiskParams(epsilon, delta)
 
@@ -114,6 +129,29 @@ def k100_instance(rng):
     lo[free] = rng.uniform(-0.3, 0.6, size=3)
     hi[free] = lo[free] + rng.uniform(0.3, 1.5, size=3)
     rp = RiskParams(float(rng.uniform(0.1, 0.3)), float(rng.uniform(0.05, 0.5)))
+    return ScoreTable(scores, labels), AcceptanceRandomness(v), WeightBox(lo, hi), rp
+
+
+def severe_instance(m, seed):
+    """The acceptance suite's severe shift at m = n = o, with its weight box."""
+    model = SyntheticModel([[-6.0], [6.0], [0.0]], [1.0, 1.0, 36.0], 430.0)
+    spec = ShiftSpec([0.2, 0.2, 0.6], tweak_one(3, 0.9, tweaked=2), m, m, m)
+    src, tgt, _ = sample_shifted(spec, model, seed)
+    box_budget, calib_delta = delta_split(3, 0.6)
+    # A seed apart from the data's: sharing it would tie v to the labels.
+    v = AcceptanceRandomness.draw(m, seed + 1000)
+    return src, v, weight_box(src, tgt, box_budget), RiskParams(0.2, calib_delta)
+
+
+def k10_instance(rng):
+    """A K=10 instance with up to 2000 rows, a random box and v in tenths or uniform."""
+    K, m = 10, int(rng.integers(500, 2001))
+    labels = rng.integers(0, K, size=m)
+    scores = rng.dirichlet(np.ones(K), size=m)
+    v = rng.integers(0, 11, size=m) / 10 if rng.random() < 0.5 else rng.uniform(size=m)
+    lo = rng.uniform(-0.3, 1.0, size=K)
+    hi = np.maximum(lo, 0.1) + rng.uniform(0.0, 1.5, size=K)
+    rp = RiskParams(float(rng.uniform(0.1, 0.4)), float(rng.uniform(0.05, 0.5)))
     return ScoreTable(scores, labels), AcceptanceRandomness(v), WeightBox(lo, hi), rp
 
 
@@ -267,6 +305,32 @@ class TestPswThreshold:
             below_both_corners += tau < min(corners)
         # The worst case is not just the sampler's cell at one of the box's corners.
         assert below_both_corners >= 5
+
+    def test_high_lower_corners_accept_a_row_of_every_label(self):
+        rng = np.random.default_rng(AWKWARD_PSW.index("high-lower-corners"))
+        for _ in range(40):
+            src, v, box, _ = awkward_instance(rng, "high-lower-corners")
+            accepted = src.labels[rejection_sample(src, v, box.lo, box.envelope_b)]
+            assert set(accepted.tolist()) == set(range(src.k))
+            assert np.any(box.lo == box.hi)
+
+    @pytest.mark.parametrize("m, seeds", [(1000, 6), (3000, 4)])
+    def test_matches_full_table_dp_on_severe_shift(self, m, seeds):
+        calibrated = 0
+        for seed in range(seeds):
+            src, v, box, rp = severe_instance(m, seed)
+            assert not isinstance(box, Aborted)
+            tau = psw_threshold(src, v, box, rp).tau
+            assert float(tau).hex() == float(psw_full_table(src, v, box, rp)).hex()
+            calibrated += math.isfinite(tau)
+        assert calibrated >= seeds - 1
+
+    def test_matches_full_table_dp_at_k10(self):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            src, v, box, rp = k10_instance(rng)
+            tau = psw_threshold(src, v, box, rp).tau
+            assert float(tau).hex() == float(psw_full_table(src, v, box, rp)).hex()
 
     def test_never_above_exact_weight_oracle(self):
         rng = np.random.default_rng(26)
