@@ -68,12 +68,12 @@ def _table(cells: np.ndarray, labeled: bool) -> ScoreTable:
 def _kept_lines(path: str, error: type[Exception] = DataError):
     """Yield (physical line number, line) for each line that is not skipped.
 
-    The file is read one line at a time with universal newlines; empty
-    lines and lines starting with '#' are skipped.  A file that cannot be
-    read, or is not UTF-8, raises ``error``.
+    The file is read once, one line at a time with universal newlines; a
+    leading byte-order mark, empty lines and lines starting with '#' are
+    skipped.  A file that cannot be read, or is not UTF-8, raises ``error``.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if line and line[0] != "#":
@@ -91,7 +91,9 @@ def _first_bad_line(path: str, width: int, labeled: bool) -> DataError:
     the physical line.  Every ScoreTable rule is about one row, so the
     line that breaks it is found here.
     """
-    for lineno, line in itertools.islice(_kept_lines(path), 1, None):
+    # A pipe or FIFO cannot be read again, so its error names no line.
+    lines = _kept_lines(path) if os.path.isfile(path) else ()
+    for lineno, line in itertools.islice(lines, 1, None):
         where = f"{path}:{lineno}"
         got = len(next(csv.reader([line])))
         if got != width:
@@ -110,8 +112,9 @@ def _first_bad_line(path: str, width: int, labeled: bool) -> DataError:
     return DataError(f"{path}: malformed score rows")
 
 
-def _score_header(path: str, kept) -> tuple[bool, int]:
-    """Read and check a score file's header from its kept lines: (labeled, K)."""
+def _score_header(path: str):
+    """Open a score file and check its header: (its kept lines after it, labeled, K)."""
+    kept = _kept_lines(path)
     first = next(kept, None)
     if first is None:
         raise DataError(f"{path}: empty score file")
@@ -120,22 +123,11 @@ def _score_header(path: str, kept) -> tuple[bool, int]:
     score_cols = header[1:] if labeled else header
     if score_cols != [f"s{i}" for i in range(len(score_cols))] or len(score_cols) < 2:
         raise DataError(f"{path}: bad header {header!r}")
-    return labeled, len(score_cols)
+    return kept, labeled, len(score_cols)
 
 
-def read_scores(path: str) -> ScoreTable:
-    """Read a score table from CSV.
-
-    Header is either ``label,s0,...,s{K-1}`` (labeled) or ``s0,...,s{K-1}``
-    (unlabeled); labels are 0-based integers.  Empty lines and lines
-    starting with '#' are skipped; row order is preserved.  Errors name the
-    physical line number.  Data lines are parsed in one pass with NumPy's
-    float grammar: a cell it accepts gets the value ``float()`` gives it,
-    bit for bit, but ``_`` digit separators are rejected.  The file is
-    streamed, so no copy of its text is held beside the parsed table.
-    """
-    kept = _kept_lines(path)
-    labeled, k = _score_header(path, kept)
+def _score_rows(path: str, kept, labeled: bool, k: int) -> ScoreTable:
+    """Parse the data lines that follow a score file's header into its table."""
     # An empty input would make np.loadtxt warn instead of failing.
     first_row = next(kept, None)
     if first_row is None:
@@ -155,6 +147,20 @@ def read_scores(path: str) -> ScoreTable:
     except ValueError:
         pass
     raise _first_bad_line(path, k + labeled, labeled)
+
+
+def read_scores(path: str) -> ScoreTable:
+    """Read a score table from CSV.
+
+    Header is either ``label,s0,...,s{K-1}`` (labeled) or ``s0,...,s{K-1}``
+    (unlabeled); labels are 0-based integers.  Lines are skipped as in
+    ``_kept_lines``; row order is preserved.  Errors in a regular file name
+    the physical line.  Data lines are parsed in one pass with NumPy's float
+    grammar: a cell it accepts gets the value ``float()`` gives it, bit for
+    bit, but ``_`` digit separators are rejected.  The file is streamed and
+    read once, so a pipe or FIFO works and no copy of its text is held.
+    """
+    return _score_rows(path, *_score_header(path))
 
 
 def write_scores(path: str, table: ScoreTable):
@@ -257,9 +263,9 @@ def cmd_calibrate(args) -> int:
     rp = _call(ConfigError, RiskParams, args.epsilon, args.delta)
     _check_out(args.out)
     # K from the source header alone, so a too-small delta is reported before the data is read.
-    _, k = _score_header(args.source, _kept_lines(args.source))
+    kept, labeled, k = _score_header(args.source)
     box_budget, calib_delta = _call(ConfigError, delta_split, k, rp.delta)
-    src = read_scores(args.source)
+    src = _score_rows(args.source, kept, labeled, k)
     tgt = read_scores(args.target)
     box = _call(DataError, weight_box, src, tgt, box_budget)
     report = {

@@ -67,7 +67,8 @@ def run_trials(
     trials: int,
     seed: int,
 ) -> list[TrialReport]:
-    """Run `trials` paired repetitions of every requested method."""
+    """Run `trials` paired repetitions of each requested method, once each in first-seen order."""
+    methods = list(dict.fromkeys(methods))
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if 0 in (spec.m, spec.n, spec.o):

@@ -4,13 +4,21 @@ Covers the CSV round trip (including a fuzz pass), the exit-code contract
 (0 ok, 2 config, 3 data, 4 abort), and determinism of both subcommands.
 """
 
+import contextlib
 import csv
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pacshift
+from pacshift import cli
 from pacshift import (
     RiskParams,
     ScoreTable,
@@ -316,6 +324,14 @@ class TestExperimentCommand:
             assert int(r["trials"]) == 3
             float(r["mean_error"]), float(r["mean_size"])
 
+    def test_repeated_method_runs_once(self, tmp_path):
+        assert self._run(tmp_path, "out", ["--method", "PS"]) == EXIT_OK
+        lines = (tmp_path / "out" / "reports.jsonl").read_text().splitlines()
+        assert [json.loads(x)["method"] for x in lines[1:]] == ["PS", "PS-C"] * 3
+        with open(tmp_path / "out" / "summary.csv") as fh:
+            fh.readline()
+            assert [int(r["trials"]) for r in csv.DictReader(fh)] == [3, 3]
+
     def test_summary_columns_are_the_aggregate_keys(self, tmp_path):
         assert self._run(tmp_path, "out") == EXIT_OK
         spec, model = read_scenario(self._scenario(tmp_path))
@@ -510,3 +526,129 @@ class TestTinyDelta:
                      "--scenario", scenario, "--method", method, "--trials", "2",
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_OK
+
+
+BOM = "\ufeff".encode()
+
+
+def with_arg(argv, flag, value):
+    """A copy of `argv` with the value after `flag` replaced."""
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = value
+    return argv
+
+
+class TestByteOrderMark:
+    def test_score_files_read_as_without(self, tmp_path):
+        argv = calibrate_argv(tmp_path, "--seed", "5", "--out", str(tmp_path / "plain.json"))
+        code = main(argv)
+        for flag, name in (("--source", "s.csv"), ("--target", "t.csv")):
+            marked = tmp_path / f"bom-{name}"
+            marked.write_bytes(BOM + (tmp_path / name).read_bytes())
+            got, want = read_scores(str(marked)), read_scores(str(tmp_path / name))
+            np.testing.assert_array_equal(got.scores, want.scores)
+            np.testing.assert_array_equal(got.labels, want.labels)
+            argv = with_arg(argv, flag, str(marked))
+        assert main(with_arg(argv, "--out", str(tmp_path / "bom.json"))) == code
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_scenario_file_reads_as_without(self, tmp_path):
+        outputs = []
+        for name, prefix in (("plain", b""), ("bom", BOM)):
+            (tmp_path / name).mkdir()
+            argv = experiment_argv(tmp_path / name, prefix + SCENARIO.encode(), "--method", "PS")
+            assert main(argv) == EXIT_OK
+            outputs.append((tmp_path / name / "out" / "reports.jsonl").read_text())
+        assert outputs[0] == outputs[1]
+
+
+def test_calibrate_opens_each_input_once(tmp_path, monkeypatch):
+    opened = []
+    kept_lines = cli._kept_lines
+
+    def spy(path, *args):
+        opened.append(path)
+        return kept_lines(path, *args)
+
+    monkeypatch.setattr(cli, "_kept_lines", spy)
+    assert main(calibrate_argv(tmp_path, "--out", str(tmp_path / "r.json"))) == EXIT_ABORT
+    assert opened == [str(tmp_path / "s.csv"), str(tmp_path / "t.csv")]
+
+
+def run_cli(argv, **kwargs):
+    """Run the CLI in a child process; a hang fails the test instead of stalling the suite."""
+    src = str(Path(pacshift.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "pacshift.cli", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60, **kwargs)
+
+
+@contextlib.contextmanager
+def fifo_feeding(path, data: bytes):
+    """Make a FIFO at `path` and write `data` into it from a thread while the block runs."""
+    os.mkfifo(path)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield str(path)
+    finally:
+        if writer.is_alive():
+            # A writer still waiting for a reader is let through, and then gets EPIPE.
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="POSIX pipes and FIFOs only")
+class TestPipedInput:
+    """Each input is opened once, so a pipe, /dev/stdin or a FIFO reads like a regular file."""
+
+    def _source(self, tmp_path, rows=40):
+        rng = np.random.default_rng(77)
+        src = write_fixture(tmp_path / "s.csv", make_table(rng, rows, 3))
+        tgt = write_fixture(tmp_path / "t.csv", make_table(rng, rows, 3, labeled=False))
+        argv = ["calibrate", "--epsilon", "0.2", "--delta", "0.05", "--seed", "5",
+                "--source", src, "--target", tgt, "--out", str(tmp_path / "file.json")]
+        return argv, (tmp_path / "s.csv").read_bytes()
+
+    def _piped(self, tmp_path, how, argv, flag, data):
+        """Run `argv` in a child with the input after `flag` fed through stdin or a FIFO."""
+        if how == "stdin":
+            return run_cli(with_arg(argv, flag, "/dev/stdin"), input=data)
+        with fifo_feeding(tmp_path / "in.fifo", data) as fifo:
+            return run_cli(with_arg(argv, flag, fifo))
+
+    # 3000 rows overflow a pipe's buffer, so the child reads while the data is written.
+    @pytest.mark.parametrize("rows", [40, 3000])
+    @pytest.mark.parametrize("how", ["stdin", "fifo"])
+    def test_report_matches_the_regular_file(self, tmp_path, how, rows):
+        argv, data = self._source(tmp_path, rows)
+        code = main(argv)
+        piped = with_arg(argv, "--out", str(tmp_path / "piped.json"))
+        proc = self._piped(tmp_path, how, piped, "--source", data)
+        assert proc.returncode == code, proc.stderr
+        assert (tmp_path / "piped.json").read_bytes() == (tmp_path / "file.json").read_bytes()
+
+    @pytest.mark.parametrize("how", ["stdin", "fifo"])
+    def test_bad_row_names_no_line(self, tmp_path, how):
+        argv, data = self._source(tmp_path)
+        proc = self._piped(tmp_path, how, argv, "--source", data + b"1,x,0.5,0.5\r\n")
+        where = "/dev/stdin" if how == "stdin" else str(tmp_path / "in.fifo")
+        assert proc.returncode == EXIT_DATA
+        assert proc.stderr.decode() == f"data error: {where}: malformed score rows\n"
+        assert not (tmp_path / "file.json").exists()
+
+    def test_scenario_from_a_fifo(self, tmp_path):
+        argv = experiment_argv(tmp_path, SCENARIO.encode(), "--method", "PS")
+        assert main(argv) == EXIT_OK
+        piped = with_arg(argv, "--out", str(tmp_path / "piped"))
+        proc = self._piped(tmp_path, "fifo", piped, "--scenario", SCENARIO.encode())
+        assert proc.returncode == EXIT_OK, proc.stderr
+        for name in ("reports.jsonl", "summary.csv"):
+            want = (tmp_path / "out" / name).read_bytes()
+            assert (tmp_path / "piped" / name).read_bytes() == want

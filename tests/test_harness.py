@@ -52,6 +52,16 @@ class TestRunTrials:
             (r.trial, r.tau, r.error) for r in ps_together
         ]
 
+    def test_repeated_method_runs_once(self):
+        spec, model = small_scenario()
+        rp = RiskParams(epsilon=0.2, delta=0.1)
+        repeated = run_trials(spec, model, ["PS", "PS-W", "PS"], rp, trials=2, seed=63)
+        once = run_trials(spec, model, ["PS", "PS-W"], rp, trials=2, seed=63)
+        assert [(r.method, r.trial) for r in repeated] == [
+            ("PS", 0), ("PS-W", 0), ("PS", 1), ("PS-W", 1)
+        ]
+        assert repr(repeated) == repr(once)  # exact, and a NaN tau compares equal
+
     def test_rejects_bad_arguments(self):
         spec, model = small_scenario()
         rp = RiskParams(epsilon=0.2, delta=0.1)
