@@ -1,11 +1,17 @@
-"""Exact binomial machinery: CDF, tail inversion, and Clopper-Pearson intervals."""
+"""Exact binomial machinery: CDF, tail inversion, and Clopper-Pearson intervals.
+
+``scipy.special`` costs about 0.3 s to import, most of a cold ``import
+pacshift``. ``binom_cdf`` and ``cp_interval`` import it inside the function,
+so the library loads it on first use: imports, ``--help`` and the CLI's
+usage, config and data errors stay cheap, and every later call finds it in
+the import cache.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .intervals import Interval
 
@@ -32,6 +38,8 @@ def binom_cdf(k, m, eps):
     for m up to 1e6 (tested against extended-precision summation), unlike
     naive term-by-term summation.
     """
+    from scipy import special
+
     k, m, eps = np.broadcast_arrays(k, m, np.asarray(eps, dtype=float))
     bad = ~((0 <= k) & (k <= m))
     if bad.any():
@@ -75,6 +83,8 @@ def cp_interval(successes, trials, level) -> Interval:
     or a small x at a level below about 1e-150) becomes the trivial bound
     lo = 0 or hi = 1, which always holds.
     """
+    from scipy import special
+
     x, n, level = np.asarray(successes), np.asarray(trials), np.asarray(level, dtype=float)
     if np.any(n < 1):
         raise ValueError("trials must be >= 1")

@@ -23,6 +23,8 @@ from pacshift import (
     RiskParams,
     ScoreTable,
     aggregate,
+    binom_k,
+    cp_interval,
     estimate_confusion,
     run_trials,
     sample_shifted,
@@ -575,12 +577,57 @@ def test_calibrate_opens_each_input_once(tmp_path, monkeypatch):
     assert opened == [str(tmp_path / "s.csv"), str(tmp_path / "t.csv")]
 
 
-def run_cli(argv, **kwargs):
-    """Run the CLI in a child process; a hang fails the test instead of stalling the suite."""
+def run_python(args, **kwargs):
+    """Run a fresh interpreter that imports this pacshift; a hang fails the test."""
     src = str(Path(pacshift.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "pacshift.cli", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=60, **kwargs)
+
+
+def run_cli(argv, **kwargs):
+    """Run the CLI in a child process; a hang fails the test instead of stalling the suite."""
+    return run_python(["-m", "pacshift.cli", *argv], **kwargs)
+
+
+# Run in a fresh interpreter: argv[1] is a directory to write files in. The last
+# stdout line is the binom_k value and the cp_interval endpoints, as float.hex.
+LAZY_SCIPY_SCRIPT = """\
+import json, sys
+from pathlib import Path
+
+def loaded():
+    return "scipy.special" in sys.modules
+
+import pacshift
+assert not loaded(), "import pacshift"
+import pacshift.cli
+assert not loaded(), "import pacshift.cli"
+from pacshift import RiskParams, binom_k, cp_interval
+from pacshift.cli import main
+
+d = Path(sys.argv[1])
+assert main(["--help"]) == 0 and not loaded(), "--help"
+calibrate = ["calibrate", "--epsilon", "0.2", "--delta", "0.05", "--target", str(d / "no.csv")]
+out_missing = ["--source", str(d / "no.csv"), "--out", str(d / "missing" / "r.json")]
+assert main(calibrate + out_missing) == 2 and not loaded(), "--out in a missing directory"
+(d / "bad.csv").write_text("label,x0,x1\\n0,0.5,0.5\\n")
+bad_header = ["--source", str(d / "bad.csv"), "--out", str(d / "r.json")]
+assert main(calibrate + bad_header) == 3 and not loaded(), "bad header"
+k = int(binom_k(100, RiskParams(0.1, 0.05)))
+assert loaded(), "binom_k"
+iv = cp_interval(3, 50, 0.01)
+print(json.dumps([k, float(iv.lo).hex(), float(iv.hi).hex()]))
+"""
+
+
+def test_scipy_loads_on_the_first_binomial_computation(tmp_path):
+    child = run_python(["-c", LAZY_SCIPY_SCRIPT, str(tmp_path)], text=True)
+    assert child.returncode == 0, child.stderr
+    assert "bad header" in child.stderr
+    iv = cp_interval(3, 50, 0.01)
+    expected = [int(binom_k(100, RiskParams(0.1, 0.05))), float(iv.lo).hex(), float(iv.hi).hex()]
+    assert json.loads(child.stdout.splitlines()[-1]) == expected
 
 
 @contextlib.contextmanager
