@@ -46,6 +46,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_ABORT = 4
 
+# Score-file data lines per np.loadtxt call; a parse holds one block's text beyond the table.
+_BLOCK_LINES = 256
+
 
 class ConfigError(Exception):
     pass
@@ -84,16 +87,12 @@ def _kept_lines(path: str, error: type[Exception] = DataError):
         raise error(f"cannot read {path}: {exc}") from exc
 
 
-def _first_bad_line(path: str, width: int, labeled: bool) -> DataError:
-    """Re-read the data lines one at a time and describe the first bad one.
+def _bad_line(path: str, block: list, width: int, labeled: bool) -> DataError:
+    """Describe the first of a failed block's (line number, line) pairs that breaks a rule.
 
-    Only runs after the bulk read has failed, so error messages can name
-    the physical line.  Every ScoreTable rule is about one row, so the
-    line that breaks it is found here.
+    Every ScoreTable rule is about one row, so the line that breaks it is found here.
     """
-    # A pipe or FIFO cannot be read again, so its error names no line.
-    lines = _kept_lines(path) if os.path.isfile(path) else ()
-    for lineno, line in itertools.islice(lines, 1, None):
+    for lineno, line in block:
         where = f"{path}:{lineno}"
         got = len(next(csv.reader([line])))
         if got != width:
@@ -107,7 +106,7 @@ def _first_bad_line(path: str, width: int, labeled: bool) -> DataError:
         except ValueError as exc:
             return DataError(f"{where}: {exc}")
         if line.count('"') % 2:
-            # A bulk parse carries an open quote over into the next line.
+            # A block parse carries an open quote over into the next line.
             return DataError(f"{where}: unterminated quote")
     return DataError(f"{path}: malformed score rows")
 
@@ -127,26 +126,25 @@ def _score_header(path: str):
 
 
 def _score_rows(path: str, kept, labeled: bool, k: int) -> ScoreTable:
-    """Parse the data lines that follow a score file's header into its table."""
-    # An empty input would make np.loadtxt warn instead of failing.
-    first_row = next(kept, None)
-    if first_row is None:
+    """Parse the data lines that follow a score file's header into its table, block by block."""
+    width = k + labeled
+    # Grown in place, so a parse holds the table and one block, not a list of blocks.
+    cells = np.empty((0, width))
+    while block := list(itertools.islice(kept, _BLOCK_LINES)):
+        try:
+            part = _parse_rows([line for _, line in block])
+            # An open quote on a block's last line runs to the end of the block and parses.
+            if part.shape != (len(block), width) or block[-1][1].count('"') % 2:
+                raise ValueError
+            _table(part, labeled)
+        except ValueError:
+            raise _bad_line(path, block, width, labeled) from None
+        cells.resize((len(cells) + len(part), width), refcheck=False)
+        cells[-len(part):] = part
+        del block, part  # before the next block is read
+    if not len(cells):
         raise DataError(f"{path}: no data rows")
-    rows = 0
-
-    def counted():
-        nonlocal rows
-        for _, line in itertools.chain([first_row], kept):
-            rows += 1
-            yield line
-
-    try:
-        cells = _parse_rows(counted())
-        if cells.shape == (rows, k + labeled):
-            return _table(cells, labeled)
-    except ValueError:
-        pass
-    raise _first_bad_line(path, k + labeled, labeled)
+    return _table(cells, labeled)
 
 
 def read_scores(path: str) -> ScoreTable:
@@ -154,11 +152,11 @@ def read_scores(path: str) -> ScoreTable:
 
     Header is either ``label,s0,...,s{K-1}`` (labeled) or ``s0,...,s{K-1}``
     (unlabeled); labels are 0-based integers.  Lines are skipped as in
-    ``_kept_lines``; row order is preserved.  Errors in a regular file name
-    the physical line.  Data lines are parsed in one pass with NumPy's float
-    grammar: a cell it accepts gets the value ``float()`` gives it, bit for
-    bit, but ``_`` digit separators are rejected.  The file is streamed and
-    read once, so a pipe or FIFO works and no copy of its text is held.
+    ``_kept_lines``; row order is preserved.  Data lines are parsed in blocks
+    with NumPy's float grammar: a cell it accepts gets the value ``float()``
+    gives it, bit for bit, but ``_`` digit separators are rejected.  The
+    file is streamed and read once, so a pipe or FIFO works, no copy of its
+    text is held, and a row error names its physical line.
     """
     return _score_rows(path, *_score_header(path))
 

@@ -682,13 +682,35 @@ class TestPipedInput:
         assert (tmp_path / "piped.json").read_bytes() == (tmp_path / "file.json").read_bytes()
 
     @pytest.mark.parametrize("how", ["stdin", "fifo"])
-    def test_bad_row_names_no_line(self, tmp_path, how):
+    def test_bad_row_names_its_line(self, tmp_path, how):
         argv, data = self._source(tmp_path)
+        # Counted like a regular file's: the version line and the header come first.
+        lineno = data.count(b"\n") + 1
         proc = self._piped(tmp_path, how, argv, "--source", data + b"1,x,0.5,0.5\r\n")
         where = "/dev/stdin" if how == "stdin" else str(tmp_path / "in.fifo")
         assert proc.returncode == EXIT_DATA
-        assert proc.stderr.decode() == f"data error: {where}: malformed score rows\n"
+        assert proc.stderr.decode() == f"data error: {where}:{lineno}: non-numeric cell\n"
         assert not (tmp_path / "file.json").exists()
+
+    def test_bad_row_past_the_first_block_names_one_line(self, tmp_path, capsys):
+        argv, data = self._source(tmp_path, rows=cli._BLOCK_LINES + 100)
+        lines = data.splitlines(keepends=True)
+        # Comments and blank lines in the first block, the bad row in the second.
+        skipped = [b"# note\r\n", b"\r\n", b"#,,\n", b"\n"]
+        cut = cli._BLOCK_LINES + 50
+        lines = lines[:10] + skipped + lines[10:cut] + [b"1,0.5,oops,0.5\r\n"] + lines[cut:]
+        lineno = len(skipped) + cut + 1
+        data = b"".join(lines)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data)
+        assert main(with_arg(argv, "--source", str(bad))) == EXIT_DATA
+        messages = {str(bad): capsys.readouterr().err}
+        for how, where in [("stdin", "/dev/stdin"), ("fifo", str(tmp_path / "in.fifo"))]:
+            proc = self._piped(tmp_path, how, argv, "--source", data)
+            assert proc.returncode == EXIT_DATA
+            messages[where] = proc.stderr.decode()
+        for where, message in messages.items():
+            assert message == f"data error: {where}:{lineno}: non-numeric cell\n"
 
     def test_scenario_from_a_fifo(self, tmp_path):
         argv = experiment_argv(tmp_path, SCENARIO.encode(), "--method", "PS")

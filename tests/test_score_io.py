@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pacshift import ScoreTable
-from pacshift.cli import FORMAT_TAG, DataError, read_scores, write_scores
+from pacshift.cli import _BLOCK_LINES, FORMAT_TAG, DataError, read_scores, write_scores
 
 
 def oracle_read_scores(path):
@@ -193,6 +193,14 @@ class TestReaderMatchesOracle:
         write_scores(path, table)
         assert_tables_bitwise_equal(read_scores(path), table)
 
+    @pytest.mark.parametrize("labeled", [True, False])
+    @pytest.mark.parametrize("n", [1, _BLOCK_LINES, _BLOCK_LINES + 1, 2 * _BLOCK_LINES + 1])
+    def test_block_edges_round_trip(self, tmp_path, labeled, n):
+        table = special_table(np.random.default_rng(960 + n), n, 3, labeled)
+        path = str(tmp_path / "b.csv")
+        write_scores(path, table)
+        assert_tables_bitwise_equal(read_scores(path), table)
+
 
 def corrupt(rng, line, k, labeled):
     """Return a malformed variant of a data line."""
@@ -225,16 +233,15 @@ def corrupt(rng, line, k, labeled):
 
 
 class TestReaderErrorsMatchOracle:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_malformed_row_reported_at_same_line(self, tmp_path, seed):
-        rng = np.random.default_rng(1000 + seed)
-        k = [2, 3, 100][seed % 3]
-        labeled = seed % 2 == 0
-        table = special_table(rng, int(rng.integers(2, 40)), k, labeled)
+    @staticmethod
+    def check_corrupted(tmp_path, rng, k, labeled, n, first=0):
+        """Corrupt one or two data rows, from data row `first` on, of a messy n-row file;
+        the reader must give the oracle's error."""
+        table = special_table(rng, n, k, labeled)
         path = write_messy(tmp_path / "m.csv", rng, table)
         lines = open(path, newline="").read().splitlines(keepends=True)
         data = [i for i, line in enumerate(lines)
-                if line.strip("\r\n") and not line.startswith("#")][1:]
+                if line.strip("\r\n") and not line.startswith("#")][1 + first:]
         for i in rng.choice(data, size=min(len(data), int(rng.integers(1, 3))), replace=False):
             body = lines[i].rstrip("\r\n")
             lines[i] = corrupt(rng, body, k, labeled) + lines[i][len(body):]
@@ -245,6 +252,17 @@ class TestReaderErrorsMatchOracle:
         with pytest.raises(DataError) as got:
             read_scores(path)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_malformed_row_reported_at_same_line(self, tmp_path, seed):
+        rng = np.random.default_rng(1000 + seed)
+        k, labeled = [2, 3, 100][seed % 3], seed % 2 == 0
+        self.check_corrupted(tmp_path, rng, k, labeled, int(rng.integers(2, 40)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_malformed_row_past_the_first_block(self, tmp_path, seed):
+        rng = np.random.default_rng(1050 + seed)
+        self.check_corrupted(tmp_path, rng, 3, seed % 2 == 0, 2 * _BLOCK_LINES + 7, _BLOCK_LINES)
 
     @pytest.mark.parametrize("text", [
         "s0,s1\n",
@@ -271,6 +289,15 @@ class TestReaderErrorsMatchOracle:
         p = tmp_path / "q.csv"
         p.write_text('s0,s1\n0.5,0.5\n0.5,"0.5\n0.5,0.5\n0.5,0.5\n')
         with pytest.raises(DataError, match=r"q\.csv:3: unterminated quote"):
+            read_scores(str(p))
+
+    # Alone at the end of a parse's input, an open quote runs to the end and parses.
+    @pytest.mark.parametrize("after", [3, 0], ids=["block-edge", "file-end"])
+    def test_unterminated_quote_on_a_blocks_last_line(self, tmp_path, after):
+        rows = ["0.5,0.5"] * (_BLOCK_LINES - 1) + ['0.5,"0.5'] + ["0.5,0.5"] * after
+        p = tmp_path / "q.csv"
+        p.write_text("s0,s1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=rf"q\.csv:{_BLOCK_LINES + 1}: unterminated quote$"):
             read_scores(str(p))
 
 
