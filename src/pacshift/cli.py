@@ -182,9 +182,9 @@ def _write_tagged(path: str, head: list, lines, end: str):
 
 
 def _check_out(path: str | None):
-    """If writing `path` must fail (a directory, or in a missing one), fail now; create nothing."""
+    """Fail now, creating nothing, if writing `path` must: "", a directory or a missing parent."""
     parent = os.path.dirname(path or "") or "."
-    if path is not None and (os.path.isdir(path) or not os.path.isdir(parent)):
+    if path == "" or path and (os.path.isdir(path) or not os.path.isdir(parent)):
         open(path, "w").close()
 
 
@@ -298,7 +298,7 @@ def cmd_experiment(args) -> int:
         raise ConfigError("--trials must be >= 1")
     spec, model = read_scenario(args.scenario)
     _call(ConfigError, delta_split, spec.k, rp.delta)
-    out = args.out or "."
+    out = "." if args.out is None else args.out
     os.makedirs(out, exist_ok=True)
     methods = args.method or list(METHODS)
     reports = run_trials(spec, model, methods, rp, args.trials, args.seed)

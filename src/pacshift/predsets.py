@@ -163,31 +163,32 @@ def psw_threshold(
         return ThresholdResult(math.nan)
     per_label = _per_label_acceptance(src, v, box)
 
+    # Sizes run from n_lo (the lower corner's) to n_max.  At the least candidate no
+    # pattern errs and k(N) is nondecreasing, so every tau fails (full set) iff k(n_lo) < 0.
+    n_lo = sum(int(acc[0]) for acc, _ in per_label)
     n_max = sum(int(acc[-1]) for acc, _ in per_label)
-    kbin = binom_k(np.arange(n_max + 1), rp)
+    kbin = binom_k(np.arange(n_lo, n_max + 1), rp)
+    if kbin[0] < 0:
+        return ThresholdResult(-math.inf)
 
     def fails(tau: float) -> bool:
-        # dp[i] = worst (max) total error count over patterns of total size
-        # low + i.  Sizes outside [low, low + len(dp)) cannot be reached by
-        # the labels so far, and -1 marks unreachable sizes inside it.
-        dp, low = np.zeros(1, dtype=np.int64), 0
+        # dp[i] = worst error count of the labels so far over patterns i rows
+        # above their lower corner, or -1 if no pattern has that size.
+        dp = np.zeros(1, dtype=np.int64)
         for acc, sk in per_label:
             errs = np.concatenate(([0], np.cumsum(sk < tau)))
             new_dp = np.full(len(dp) + acc[-1] - acc[0], -1, dtype=np.int64)
             for a in acc:
-                e = errs[a]
                 seg = new_dp[a - acc[0] : a - acc[0] + len(dp)]
-                shifted = np.where(dp < 0, -1, dp + e)
+                shifted = np.where(dp < 0, -1, dp + errs[a])
                 np.maximum(seg, shifted, out=seg)
-            dp, low = new_dp, low + int(acc[0])
-        # Unreachable sizes hold -1 and kbin >= -1, so only reachable ones fail.
-        return bool(np.any(dp > kbin[low : low + len(dp)]))
+            dp = new_dp
+        # Unreachable sizes hold -1 and kbin >= 0 > -1, so only reachable ones fail.
+        return bool(np.any(dp > kbin))
 
     candidates = np.unique(src.true_scores())
-    # fails() is monotone in tau: raising tau only adds errors.
+    # fails() is monotone in tau (raising tau only adds errors); first_fail >= 1.
     first_fail = bisect.bisect_left(candidates, True, key=fails)
-    if first_fail == 0:
-        return ThresholdResult(-math.inf)
     return ThresholdResult(candidates[first_fail - 1])
 
 

@@ -36,13 +36,13 @@ def estimate_qhat(tgt: ScoreTable) -> np.ndarray:
 
 
 def _check_counts(conf, qh) -> tuple[np.ndarray, np.ndarray]:
-    """The count arrays, checked to be K x K and K with no negative entry."""
+    """The count arrays, checked to be K x K and K of finite nonnegative integers."""
     conf, qh = np.asarray(conf), np.asarray(qh)
     K = qh.size
     if conf.shape != (K, K) or qh.shape != (K,):
         raise ValueError(f"need K x K and K counts, got shapes {conf.shape} and {qh.shape}")
-    if np.any(conf < 0) or np.any(qh < 0):
-        raise ValueError("counts must be nonnegative")
+    if not all(np.all(np.isfinite(x) & (x >= 0) & (x == np.floor(x))) for x in (conf, qh)):
+        raise ValueError("counts must be finite nonnegative integers")
     return conf, qh
 
 
@@ -100,9 +100,7 @@ def bbse_point_weights(conf: np.ndarray, qh: np.ndarray) -> np.ndarray:
     if conf.sum() == 0:
         raise SingularMatrix("confusion counts are all zero")
     a = conf / conf.sum()
-    # The SVD fails on NaN, which float counts can carry past _check_counts.
-    cond = np.linalg.cond(a) if np.all(np.isfinite(a)) else np.inf
-    if not cond < 1e12:
+    if not (cond := np.linalg.cond(a)) < 1e12:
         raise SingularMatrix(f"confusion matrix condition number {cond:.3g} >= 1e12")
     return np.clip(np.linalg.solve(a, qh / qh.sum()), 0.0, None)
 

@@ -5,7 +5,8 @@ binomial tail by scipy's CDF scan, and PS-W by enumerating every acceptance
 cell of the rejection sampler.  Both are slow and meant for tiny instances
 only.  ``psw_full_table`` is PS-W's earlier dynamic program over every total
 size 0..n_max, kept to check the windowed one at sizes the brute force
-cannot reach.
+cannot reach; it reuses the library's ``_per_label_acceptance`` and
+``binom_k``, so it is not independent of the library.
 """
 
 import bisect

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from pacshift import RiskParams, binom_cdf, binom_k, cp_interval
+from pacshift import RiskParams, binom_cdf, binom_k, cp_interval, delta_split
 
 
 def cdf_oracle(k: int, m: int, eps: float) -> float:
@@ -280,6 +280,15 @@ class TestBinomK:
     def test_scalar_call_gives_0d_result(self):
         k = binom_k(5000, RiskParams(epsilon=0.1, delta=5e-4))
         assert k.shape == ()
+
+    @pytest.mark.parametrize("K, n0", [(2, 91), (3, 97), (4, 102), (10, 117), (13, 122),
+                                       (30, 138), (100, 160)])
+    def test_least_size_with_a_threshold(self, K, n0):
+        # k(N) >= 0 iff 0.9^N <= delta: PS-W's full set iff its lower corner has < N0 rows.
+        calib = delta_split(K, 5e-4)[1]
+        assert n0 == math.ceil(math.log(calib) / math.log(0.9))
+        k = binom_k(np.arange(n0 + 1), RiskParams(epsilon=0.1, delta=calib))
+        assert np.flatnonzero(k >= 0)[0] == n0
 
     def test_negative_m_raises(self):
         with pytest.raises(ValueError, match="m must be nonnegative"):

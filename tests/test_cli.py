@@ -482,10 +482,18 @@ def calibrate_argv(tmp_path, *extra):
                 "--source", write_text(d / "s.csv", "label,s0,s1\nx,y,z\n"),
                 "--target", str(d / "no.csv"), "--out", str(d / "out")],
      "delta 5e-324 is too small to split over 7 levels"),
+    # An empty --out names no file: calibrate fails before it reads a score file,
+    # and experiment writes nothing to the working directory.
+    (lambda d: ["calibrate", "--epsilon", "0.2", "--delta", "0.05", "--source", str(d / "no.csv"),
+                "--target", str(d / "no.csv"), "--out", ""],
+     "[Errno 2] No such file or directory: ''"),
+    (lambda d: experiment_argv(d, SCENARIO.encode(), "--out", ""),
+     "[Errno 2] No such file or directory: ''"),
 ], ids=["non-utf8-scenario", "blank-scenario-line", "indented-comment", "unknown-key",
         "repeated-key", "experiment-seed", "calibrate-seed", "calibrate-out-missing-dir",
         "calibrate-out-is-dir", "experiment-out-is-file", "experiment-tiny-delta",
-        "calibrate-tiny-delta", "calibrate-out-before-source", "calibrate-delta-before-rows"])
+        "calibrate-tiny-delta", "calibrate-out-before-source", "calibrate-delta-before-rows",
+        "calibrate-out-empty", "experiment-out-empty"])
 def test_config_error_without_traceback(tmp_path, capsys, argv, message):
     assert main(argv(tmp_path)) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message.format(d=tmp_path)}\n"

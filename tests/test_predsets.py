@@ -21,6 +21,7 @@ from pacshift import (
     SyntheticModel,
     ThresholdResult,
     WeightBox,
+    binom_k,
     delta_split,
     evaluate_set,
     ps_threshold,
@@ -70,7 +71,7 @@ def planted_boundary_instance(rng):
 
 
 AWKWARD_PSW = ["empty-label", "all-tied-v", "m=1", "k=2", "delta-near-0", "delta-near-1",
-               "high-lower-corners"]
+               "high-lower-corners", "lower-corner-at-N0"]
 
 
 def awkward_instance(rng, case):
@@ -80,7 +81,10 @@ def awkward_instance(rng, case):
     sample is larger, the box narrow and high and epsilon large, so that
     every acceptance pattern is big enough for some tau to pass.  With high
     lower corners every label has a row at v = 0, so each label's shortest
-    prefix is not empty, and at least one label's box width is zero.
+    prefix is not empty, and at least one label's box width is zero.  For
+    the lower corner at N0, epsilon = 0.5 and delta = 0.2 make N0 = 3 rows
+    the least sample size with a threshold, and every lower bound is <= 0,
+    so the lower corner accepts just the 2 or 3 rows placed at v = 0.
     """
     k = 2 if case == "k=2" else 3
     if case == "m=1":
@@ -107,6 +111,13 @@ def awkward_instance(rng, case):
         width = rng.uniform(0.0, 0.5, size=k)
         width[rng.integers(k)] = 0.0
         hi = lo + width
+    elif case == "lower-corner-at-N0":
+        v[v == 0] = 0.25
+        v[rng.choice(m, size=rng.integers(2, 4), replace=False)] = 0.0
+        lo = rng.uniform(-0.3, 0.0, size=k)
+        lo[rng.integers(k)] = 0.0
+        hi = lo + rng.uniform(0.3, 1.5, size=k)
+        epsilon, delta = 0.5, 0.2
     src = ScoreTable(scores=scores, labels=labels)
     return src, AcceptanceRandomness(v=v), WeightBox(lo, hi), RiskParams(epsilon, delta)
 
@@ -313,6 +324,33 @@ class TestPswThreshold:
             accepted = src.labels[rejection_sample(src, v, box.lo, box.envelope_b)]
             assert set(accepted.tolist()) == set(range(src.k))
             assert np.any(box.lo == box.hi)
+
+    def test_lower_corner_at_n0_decides_the_full_set(self):
+        rng = np.random.default_rng(AWKWARD_PSW.index("lower-corner-at-N0"))
+        seen = set()
+        for _ in range(40):
+            src, v, box, rp = awkward_instance(rng, "lower-corner-at-N0")
+            n_lo = len(rejection_sample(src, v, box.lo, box.envelope_b))
+            full = psw_threshold(src, v, box, rp).tau == -math.inf
+            assert n_lo in (2, 3) and full == (n_lo == 2)
+            seen.add(n_lo)
+        assert seen == {2, 3}
+
+    def test_full_set_iff_lower_corner_has_no_threshold(self):
+        # The smallest pattern, the lower corner's, decides the full set alone.
+        rng = np.random.default_rng(32)
+        full = 0
+        for i in range(320):
+            src, v, box, rp = awkward_instance(rng, AWKWARD_PSW[i % len(AWKWARD_PSW)])
+            lo = box.lo.copy()
+            lo[rng.integers(len(lo))] = 0.0
+            box = WeightBox(lo, box.hi)
+            n_lo = len(rejection_sample(src, v, box.lo, box.envelope_b))
+            tau = psw_threshold(src, v, box, rp).tau
+            assert (tau == -math.inf) == (binom_k(n_lo, rp) < 0)
+            full += tau == -math.inf
+        # Both outcomes are common: 156 of the 320 are full sets.
+        assert 80 < full < 240
 
     @pytest.mark.parametrize("m, seeds", [(1000, 6), (3000, 4)])
     def test_matches_full_table_dp_on_severe_shift(self, m, seeds):

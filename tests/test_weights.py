@@ -160,10 +160,12 @@ class TestCpBounds:
             cp_bounds(conf, qh, 0.01)
 
     def test_negative_counts_raise(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            cp_bounds(np.array([[10, -1], [1, 10]]), np.array([10, 10]), 0.01)
-        with pytest.raises(ValueError, match="nonnegative"):
-            cp_bounds(np.full((2, 2), 10), np.array([-1, 10]), 0.01)
+        # NaN, inf and fractional counts are rejected here too, not later in cp_interval.
+        for bad in [-1, np.nan, np.inf, 1.5]:
+            with pytest.raises(ValueError, match="finite nonnegative integers"):
+                cp_bounds(np.array([[10, bad], [1, 10]]), np.array([10, 10]), 0.01)
+            with pytest.raises(ValueError, match="finite nonnegative integers"):
+                cp_bounds(np.full((2, 2), 10), np.array([bad, 10]), 0.01)
 
 
 class TestBbsePointWeights:
@@ -208,8 +210,12 @@ class TestBbsePointWeights:
             bbse_point_weights(np.array([[40, 10], [10, 40]]), np.array([60, 40, 5]))
 
     def test_negative_counts_raise(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            bbse_point_weights(np.array([[40, 10], [-10, 40]]), np.array([60, 40]))
+        # NaN, inf and fractional counts are rejected before the SVD.
+        for bad in [-10, np.nan, np.inf, 1.5]:
+            with pytest.raises(ValueError, match="finite nonnegative integers"):
+                bbse_point_weights(np.array([[40, 10], [bad, 40]]), np.array([60, 40]))
+            with pytest.raises(ValueError, match="finite nonnegative integers"):
+                bbse_point_weights(np.array([[40, 10], [10, 40]]), np.array([bad, 40]))
 
     def test_ill_conditioned_raises(self):
         # Full rank in floating point, but cond(c_hat) ~ 4e13 > 1e12.
