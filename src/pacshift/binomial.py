@@ -30,6 +30,11 @@ class RiskParams:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
 
+def _integers(x) -> np.ndarray:
+    """Mask of the entries of x that are finite integers (NaN and +-inf are not)."""
+    return np.isfinite(x) & (x == np.floor(x))
+
+
 def binom_cdf(k, m, eps):
     """P[Binom(m, eps) <= k], via the regularized incomplete beta function.
 
@@ -41,10 +46,10 @@ def binom_cdf(k, m, eps):
     from scipy import special
 
     k, m, eps = np.broadcast_arrays(k, m, np.asarray(eps, dtype=float))
-    bad = ~((0 <= k) & (k <= m))
+    bad = ~((0 <= k) & (k <= m) & _integers(k) & _integers(m))
     if bad.any():
         i = np.argmax(bad)
-        raise ValueError(f"need 0 <= k <= m, got k={k.flat[i]}, m={m.flat[i]}")
+        raise ValueError(f"need integers 0 <= k <= m, got k={k.flat[i]}, m={m.flat[i]}")
     bad = ~((0.0 <= eps) & (eps <= 1.0))
     if bad.any():
         raise ValueError(f"eps must be in [0, 1], got {eps.flat[np.argmax(bad)]}")
@@ -61,8 +66,8 @@ def binom_k(m, rp: RiskParams):
     prediction set.
     """
     m = np.asarray(m)
-    if np.any(m < 0):
-        raise ValueError("m must be nonnegative")
+    if not np.all(_integers(m) & (m >= 0)):
+        raise ValueError("m must be nonnegative integers")
     # Invariant: lo == -1 or F(lo) <= delta, and F(hi) > delta (F(m) = 1).
     lo = np.full(m.shape, -1, dtype=np.int64)
     hi = m.astype(np.int64)
@@ -86,6 +91,8 @@ def cp_interval(successes, trials, level) -> Interval:
     from scipy import special
 
     x, n, level = np.asarray(successes), np.asarray(trials), np.asarray(level, dtype=float)
+    if not np.all(_integers(x) & _integers(n)):
+        raise ValueError("successes and trials must be finite integers")
     if np.any(n < 1):
         raise ValueError("trials must be >= 1")
     if not np.all((0 <= x) & (x <= n)):

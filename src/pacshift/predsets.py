@@ -164,12 +164,13 @@ def psw_threshold(
     per_label = _per_label_acceptance(src, v, box)
 
     # Sizes run from n_lo (the lower corner's) to n_max.  At the least candidate no
-    # pattern errs and k(N) is nondecreasing, so every tau fails (full set) iff k(n_lo) < 0.
+    # pattern errs and k(N) is nondecreasing, so every tau fails (full set) iff k(n_lo) < 0,
+    # which one scalar inversion decides before any table is built.
     n_lo = sum(int(acc[0]) for acc, _ in per_label)
+    if binom_k(n_lo, rp) < 0:
+        return ThresholdResult(-math.inf)
     n_max = sum(int(acc[-1]) for acc, _ in per_label)
     kbin = binom_k(np.arange(n_lo, n_max + 1), rp)
-    if kbin[0] < 0:
-        return ThresholdResult(-math.inf)
 
     def fails(tau: float) -> bool:
         # dp[i] = worst error count of the labels so far over patterns i rows
@@ -178,9 +179,10 @@ def psw_threshold(
         for acc, sk in per_label:
             errs = np.concatenate(([0], np.cumsum(sk < tau)))
             new_dp = np.full(len(dp) + acc[-1] - acc[0], -1, dtype=np.int64)
+            unreachable = dp < 0  # fixed while this label's prefixes are tried
             for a in acc:
                 seg = new_dp[a - acc[0] : a - acc[0] + len(dp)]
-                shifted = np.where(dp < 0, -1, dp + errs[a])
+                shifted = np.where(unreachable, -1, dp + errs[a])
                 np.maximum(seg, shifted, out=seg)
             dp = new_dp
         # Unreachable sizes hold -1 and kbin >= 0 > -1, so only reachable ones fail.

@@ -10,6 +10,7 @@ of the two label distributions.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,10 @@ class SyntheticModel:
 
 def tweak_one(K: int, rho: float, tweaked: int = 0) -> np.ndarray:
     """Distribution giving rho to one label and (1-rho)/(K-1) to each other."""
+    if not (isinstance(K, numbers.Integral) and K >= 2):
+        raise ValueError(f"K must be an integer >= 2, got {K!r}")
+    if not (isinstance(tweaked, numbers.Integral) and 0 <= tweaked < K):
+        raise ValueError(f"tweaked must be an integer in [0, K), got {tweaked!r}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must be in [0, 1]")
     p = np.full(K, (1.0 - rho) / (K - 1))

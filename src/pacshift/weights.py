@@ -9,9 +9,11 @@ Also provides the plug-in (point-estimate) solve used by the baselines.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .binomial import cp_interval
+from .binomial import _integers, cp_interval
 from .intervals import Aborted, Interval, WeightBox, interval_gauss_elim
 from .tables import ScoreTable
 
@@ -41,13 +43,15 @@ def _check_counts(conf, qh) -> tuple[np.ndarray, np.ndarray]:
     K = qh.size
     if conf.shape != (K, K) or qh.shape != (K,):
         raise ValueError(f"need K x K and K counts, got shapes {conf.shape} and {qh.shape}")
-    if not all(np.all(np.isfinite(x) & (x >= 0) & (x == np.floor(x))) for x in (conf, qh)):
+    if not all(np.all(_integers(x) & (x >= 0)) for x in (conf, qh)):
         raise ValueError("counts must be finite nonnegative integers")
     return conf, qh
 
 
 def _n_intervals(K: int) -> int:
     """CP intervals under the union bound: K^2 confusion entries and K frequencies."""
+    if not (isinstance(K, numbers.Integral) and K >= 2):
+        raise ValueError(f"K must be an integer >= 2, got {K!r}")
     return K * (K + 1)
 
 

@@ -204,7 +204,8 @@ class TestBinomCdf:
             assert val == _scalar_cdf(int(k[i, j]), 5, float(eps[j]))
 
     @pytest.mark.parametrize("bad", [(-1, 10, 0.1), (11, 10, 0.1), (3, 10, -0.5),
-                                     (3, 10, 1.5), (3, 10, math.nan)])
+                                     (3, 10, 1.5), (3, 10, math.nan), (1.5, 10, 0.1),
+                                     (3, 10.5, 0.1), (3, math.inf, 0.1), (math.nan, 10, 0.1)])
     def test_one_bad_entry_raises_like_scalar(self, bad):
         with pytest.raises(ValueError) as scalar:
             binom_cdf(*bad)
@@ -291,8 +292,12 @@ class TestBinomK:
         assert np.flatnonzero(k >= 0)[0] == n0
 
     def test_negative_m_raises(self):
-        with pytest.raises(ValueError, match="m must be nonnegative"):
-            binom_k(np.array([3, -1, 5]), RiskParams(epsilon=0.1, delta=0.1))
+        # Fractional, NaN and infinite sizes too: the int cast would wrap or truncate them.
+        for bad in (-1, 10.7, math.nan, math.inf):
+            with pytest.raises(ValueError, match="m must be nonnegative"):
+                binom_k(np.array([3, bad, 5]), RiskParams(epsilon=0.1, delta=0.1))
+            with pytest.raises(ValueError, match="m must be nonnegative"):
+                binom_k(bad, RiskParams(epsilon=0.1, delta=0.1))
 
     @pytest.mark.parametrize("eps, delta", TABLE_LEVELS)
     def test_table_equals_scalar_search(self, eps, delta):
@@ -403,7 +408,9 @@ class TestCpInterval:
             np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("bad", [(3, 0, 0.1), (-1, 10, 0.1), (11, 10, 0.1),
-                                     (3, 10, 0.0), (3, 10, 1.0), (3, 10, math.nan)])
+                                     (3, 10, 0.0), (3, 10, 1.0), (3, 10, math.nan),
+                                     (1.5, 10, 0.05), (1, 10.5, 0.05), (3, math.inf, 0.1),
+                                     (math.nan, 10, 0.1)])
     def test_one_bad_entry_raises_like_scalar(self, bad):
         with pytest.raises(ValueError) as scalar:
             cp_interval(*bad)

@@ -6,6 +6,7 @@ distributions, and the class-conditional score distributions are identical
 between source and target draws (the label-shift assumption itself).
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -57,6 +58,16 @@ class TestTweakOne:
             tweak_one(3, -0.1)
         with pytest.raises(ValueError):
             tweak_one(3, 1.1)
+
+    @pytest.mark.parametrize("k", [0, 1, 2.5, 3.0, math.nan])
+    def test_k_not_an_integer_of_at_least_2_raises(self, k):
+        with pytest.raises(ValueError, match="K must be an integer >= 2"):
+            tweak_one(k, 0.5)
+
+    @pytest.mark.parametrize("tweaked", [-1, 3, 5, 1.5, 1.0])
+    def test_tweaked_outside_the_labels_raises(self, tweaked):
+        with pytest.raises(ValueError, match=r"tweaked must be an integer in \[0, K\)"):
+            tweak_one(3, 0.5, tweaked)
 
 
 class TestTrueWeights:

@@ -6,6 +6,8 @@ solve, and Monte Carlo containment of the simulator's ground-truth weights
 for the end-to-end box.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,13 @@ class TestDeltaSplit:
     def test_too_small_to_split_raises(self, k):
         with pytest.raises(ValueError, match=f"too small to split over {k * (k + 1) + 1} levels"):
             delta_split(k, 5e-324)
+
+    @pytest.mark.parametrize("k", [0, 1, -3, 2.5, 3.0, math.nan, True])
+    def test_k_not_an_integer_of_at_least_2_raises(self, k):
+        with pytest.raises(ValueError, match="K must be an integer >= 2"):
+            delta_split(k, 0.1)
+        with pytest.raises(ValueError, match="K must be an integer >= 2"):
+            interval_level(k, 0.1)
 
     @pytest.mark.parametrize("k", [2, 3, 100])
     def test_smallest_delta_that_splits_is_accepted(self, k):
