@@ -9,6 +9,7 @@ the import cache.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,12 @@ class RiskParams:
 def _integers(x) -> np.ndarray:
     """Mask of the entries of x that are finite integers (NaN and +-inf are not)."""
     return np.isfinite(x) & (x == np.floor(x))
+
+
+def _check_label_count(K) -> None:
+    """Raise ValueError unless K, a number of labels, is an integer >= 2."""
+    if not (isinstance(K, numbers.Integral) and K >= 2):
+        raise ValueError(f"K must be an integer >= 2, got {K!r}")
 
 
 def binom_cdf(k, m, eps):

@@ -164,13 +164,12 @@ def psw_threshold(
     per_label = _per_label_acceptance(src, v, box)
 
     # Sizes run from n_lo (the lower corner's) to n_max.  At the least candidate no
-    # pattern errs and k(N) is nondecreasing, so every tau fails (full set) iff k(n_lo) < 0,
-    # which one scalar inversion decides before any table is built.
+    # pattern errs and k(N) is nondecreasing, so every tau fails (full set) iff k(n_lo) < 0.
     n_lo = sum(int(acc[0]) for acc, _ in per_label)
-    if binom_k(n_lo, rp) < 0:
-        return ThresholdResult(-math.inf)
     n_max = sum(int(acc[-1]) for acc, _ in per_label)
     kbin = binom_k(np.arange(n_lo, n_max + 1), rp)
+    if kbin[0] < 0:
+        return ThresholdResult(-math.inf)
 
     def fails(tau: float) -> bool:
         # dp[i] = worst error count of the labels so far over patterns i rows

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binomial import _check_label_count
 from .tables import ScoreTable
 
 _SIMPLEX_TOL = 1e-12
@@ -120,8 +121,7 @@ class SyntheticModel:
 
 def tweak_one(K: int, rho: float, tweaked: int = 0) -> np.ndarray:
     """Distribution giving rho to one label and (1-rho)/(K-1) to each other."""
-    if not (isinstance(K, numbers.Integral) and K >= 2):
-        raise ValueError(f"K must be an integer >= 2, got {K!r}")
+    _check_label_count(K)
     if not (isinstance(tweaked, numbers.Integral) and 0 <= tweaked < K):
         raise ValueError(f"tweaked must be an integer in [0, K), got {tweaked!r}")
     if not 0.0 <= rho <= 1.0:

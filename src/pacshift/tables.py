@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MASK_BYTES = 1 << 20
-
 
 @dataclass
 class ScoreTable:
@@ -27,11 +25,8 @@ class ScoreTable:
             raise ValueError("scores must be a 2-D array")
         if self.scores.shape[1] < 2:
             raise ValueError("need at least 2 label columns")
-        # In row blocks, so the isfinite mask stays near MASK_BYTES, not one byte per cell.
-        rows = max(1, MASK_BYTES // self.k)
-        for i in range(0, self.n, rows):
-            if not np.isfinite(self.scores[i : i + rows]).any(axis=1).all():
-                raise ValueError("every row needs at least one finite score")
+        if not np.all(np.isfinite(self.scores).any(axis=1)) and self.n > 0:
+            raise ValueError("every row needs at least one finite score")
         if self.labels is not None:
             # Checked before the int cast, which turns NaN, inf or 1e300 into an arbitrary int.
             labels = np.asarray(self.labels)

@@ -9,11 +9,9 @@ Also provides the plug-in (point-estimate) solve used by the baselines.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .binomial import _integers, cp_interval
+from .binomial import _check_label_count, _integers, cp_interval
 from .intervals import Aborted, Interval, WeightBox, interval_gauss_elim
 from .tables import ScoreTable
 
@@ -50,8 +48,7 @@ def _check_counts(conf, qh) -> tuple[np.ndarray, np.ndarray]:
 
 def _n_intervals(K: int) -> int:
     """CP intervals under the union bound: K^2 confusion entries and K frequencies."""
-    if not (isinstance(K, numbers.Integral) and K >= 2):
-        raise ValueError(f"K must be an integer >= 2, got {K!r}")
+    _check_label_count(K)
     return K * (K + 1)
 
 

@@ -34,7 +34,6 @@ from pacshift import (
     wcp_threshold,
     weight_box,
 )
-import pacshift.predsets as predsets
 from pacshift.predsets import ABORTED, CALIBRATED, FULL_SET
 
 from oracles import ps_oracle, psw_brute_force, psw_full_table
@@ -352,22 +351,6 @@ class TestPswThreshold:
             full += tau == -math.inf
         # Both outcomes are common: 156 of the 320 are full sets.
         assert 80 < full < 240
-
-    def test_full_set_inverts_one_scalar_size(self, monkeypatch):
-        # A zero lower corner accepts no row, and k(0) = -1 decides the full set alone.
-        shapes = []
-
-        def recording_binom_k(m, rp):
-            shapes.append(np.shape(m))
-            return binom_k(m, rp)
-
-        monkeypatch.setattr(predsets, "binom_k", recording_binom_k)
-        src, v, box, rp = severe_instance(1000, 0)
-        assert psw_threshold(src, v, WeightBox(np.zeros(src.k), box.hi), rp).tau == -math.inf
-        assert shapes == [()]
-        shapes.clear()
-        assert math.isfinite(psw_threshold(src, v, box, rp).tau)
-        assert shapes[0] == () and len(shapes) == 2
 
     @pytest.mark.parametrize("m, seeds", [(1000, 6), (3000, 4)])
     def test_matches_full_table_dp_on_severe_shift(self, m, seeds):

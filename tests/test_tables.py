@@ -1,11 +1,8 @@
 """Tests for ScoreTable validation."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-import pacshift.tables as tables
 from pacshift import ScoreTable
 
 
@@ -54,25 +51,3 @@ def test_predicted_skips_nan_scores():
     # The argmax over each row's non-NaN scores, ties to the lowest index.
     t = table([[0.3, np.nan, 0.7], [np.nan, np.nan, 0.5], [0.2, 0.2, np.nan]])
     assert t.predicted().tolist() == [2, 2, 0]
-
-
-@pytest.mark.parametrize("row", [0, 1, 4, 6])
-def test_row_without_a_finite_score_rejected_in_any_block(monkeypatch, row):
-    # 8-byte masks hold two 3-column rows, so the seven rows span four blocks.
-    monkeypatch.setattr(tables, "MASK_BYTES", 8)
-    scores = np.full((7, 3), 0.5)
-    scores[row] = [np.nan, np.inf, -np.inf]
-    with pytest.raises(ValueError, match="every row needs at least one finite score"):
-        ScoreTable(scores)
-
-
-def test_finite_score_check_peaks_near_the_block_mask():
-    # A full (N, K) isfinite mask of this array would take 2 MB.
-    scores = np.random.default_rng(3).uniform(size=(20_000, 100))
-    tracemalloc.start()
-    try:
-        ScoreTable(scores)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= tables.MASK_BYTES + (1 << 16) < scores.size
