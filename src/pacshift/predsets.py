@@ -94,6 +94,16 @@ def ps_threshold(src: ScoreTable, rp: RiskParams) -> ThresholdResult:
     return ThresholdResult(scores[k])
 
 
+def _weight_vector(w, k: int) -> np.ndarray:
+    """w as floats, checked to be finite with one entry per label; negatives clamped to 0."""
+    w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    if w.shape != (k,):
+        raise ValueError(f"need one weight per label, got shape {w.shape} for K={k}")
+    return np.clip(w, 0.0, None)
+
+
 def rejection_sample(
     src: ScoreTable, v: AcceptanceRandomness, w: np.ndarray, b: float
 ) -> np.ndarray:
@@ -106,14 +116,9 @@ def rejection_sample(
     """
     if not src.is_labeled:
         raise ValueError("source table must be labeled")
-    w = np.asarray(w, dtype=float)
-    if not (math.isfinite(b) and np.isfinite(w).all()):
-        raise ValueError("weights and envelope b must be finite")
-    if b <= 0:
-        raise ValueError("envelope b must be positive")
-    w = np.clip(w, 0.0, None)
-    if w.shape != (src.k,):
-        raise ValueError(f"need one weight per label, got shape {w.shape} for K={src.k}")
+    w = _weight_vector(w, src.k)
+    if not 0 < b < math.inf:
+        raise ValueError(f"envelope b must be finite and positive, got {b}")
     if np.any(w > b * (1 + 1e-12)):
         raise ValueError("weights must not exceed the envelope b")
     if len(v.v) != src.n:
@@ -207,7 +212,7 @@ def psr_threshold(
     src: ScoreTable, v: AcceptanceRandomness, pointw: np.ndarray, rp: RiskParams
 ) -> ThresholdResult:
     """Rejection-sample with plug-in weights, then calibrate unweighted."""
-    w = np.clip(np.asarray(pointw, dtype=float), 0.0, None)
+    w = _weight_vector(pointw, src.k)
     b = float(w.max())
     if b <= 0:
         return ThresholdResult(-math.inf)
@@ -219,10 +224,7 @@ def wcp_threshold(src: ScoreTable, pointw: np.ndarray, eps: float) -> ThresholdR
     """Weighted empirical quantile: largest tau with weighted error mass <= eps."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
-    pointw = np.asarray(pointw, dtype=float)
-    if not np.isfinite(pointw).all():
-        raise ValueError("weights must be finite")
-    u = pointw[src.labels]
+    u = _weight_vector(pointw, src.k)[src.labels]
     total = u.sum()
     if total <= 0:
         raise ValueError("all weights are zero")
@@ -239,8 +241,11 @@ def evaluate_set(result: ThresholdResult, test: ScoreTable) -> tuple[float, floa
     """Prediction-set error and average size on a labeled test table.
 
     Full sets (and aborted calibrations, which degrade to full sets) have
-    error 0 and size K.
+    error 0 and size K.  A table with no rows, where both are undefined,
+    is a ValueError.
     """
+    if test.n == 0:
+        raise ValueError("test table has no rows")
     if result.status != CALIBRATED:
         return 0.0, float(test.k)
     err = int(np.count_nonzero(test.true_scores() < result.tau))

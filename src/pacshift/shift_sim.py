@@ -34,7 +34,8 @@ class ShiftSpec:
     """Source/target label distributions and the three sample sizes.
 
     m: labeled source rows, n: unlabeled target rows, o: labeled target
-    test rows.  Every label with target mass must have source mass.
+    test rows, each a nonnegative integer (Python or NumPy).  Every label
+    with target mass must have source mass.
     """
 
     source_dist: np.ndarray
@@ -52,8 +53,9 @@ class ShiftSpec:
             raise ValueError("source and target distributions must share K")
         if np.any((self.target_dist > 0) & (self.source_dist == 0)):
             raise ValueError("target support must be contained in source support")
-        if min(self.m, self.n, self.o) < 0:
-            raise ValueError("sample sizes must be nonnegative")
+        for name, size in {"m": self.m, "n": self.n, "o": self.o}.items():
+            if not (isinstance(size, numbers.Integral) and size >= 0):
+                raise ValueError(f"sample size {name} must be a nonnegative integer, got {size!r}")
 
     @property
     def k(self) -> int:

@@ -57,9 +57,12 @@ def delta_split(K: int, delta: float) -> tuple[float, float]:
 
     The K(K+1) elementwise intervals share the first part equally (see
     interval_level); the remaining delta/(K(K+1)+1) is reserved for
-    threshold calibration.  Raises ValueError if delta is too small for the
-    calibration level and each interval's level to be positive.
+    threshold calibration.  Raises ValueError unless delta is in (0, 1), or
+    if it is too small for the calibration level and each interval's level
+    to be positive.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
     parts = _n_intervals(K) + 1
     calib = delta / parts
     box_budget = delta - calib

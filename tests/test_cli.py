@@ -463,6 +463,8 @@ def calibrate_argv(tmp_path, *extra):
     (lambda d: experiment_argv(d, (SCENARIO + "m = 10\n").encode()),
      "{d}/scenario.txt:10: repeated key 'm'"),
     (lambda d: experiment_argv(d, SCENARIO.encode(), "--seed", "-1"), "--seed must be >= 0"),
+    # The seed is checked before the scenario file is read.
+    (lambda d: experiment_argv(d, b"\xff", "--seed", "-1"), "--seed must be >= 0"),
     (lambda d: calibrate_argv(d, "--seed", "-1", "--out", str(d / "out")), "--seed must be >= 0"),
     (lambda d: calibrate_argv(d, "--out", str(d / "missing" / "r.json")),
      "[Errno 2] No such file or directory: '{d}/missing/r.json'"),
@@ -490,10 +492,10 @@ def calibrate_argv(tmp_path, *extra):
     (lambda d: experiment_argv(d, SCENARIO.encode(), "--out", ""),
      "[Errno 2] No such file or directory: ''"),
 ], ids=["non-utf8-scenario", "blank-scenario-line", "indented-comment", "unknown-key",
-        "repeated-key", "experiment-seed", "calibrate-seed", "calibrate-out-missing-dir",
-        "calibrate-out-is-dir", "experiment-out-is-file", "experiment-tiny-delta",
-        "calibrate-tiny-delta", "calibrate-out-before-source", "calibrate-delta-before-rows",
-        "calibrate-out-empty", "experiment-out-empty"])
+        "repeated-key", "experiment-seed", "seed-before-non-utf8-scenario", "calibrate-seed",
+        "calibrate-out-missing-dir", "calibrate-out-is-dir", "experiment-out-is-file",
+        "experiment-tiny-delta", "calibrate-tiny-delta", "calibrate-out-before-source",
+        "calibrate-delta-before-rows", "calibrate-out-empty", "experiment-out-empty"])
 def test_config_error_without_traceback(tmp_path, capsys, argv, message):
     assert main(argv(tmp_path)) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message.format(d=tmp_path)}\n"

@@ -69,6 +69,9 @@ class TestRunTrials:
             run_trials(spec, model, ["PS-X"], rp, trials=1, seed=0)
         with pytest.raises(ValueError):
             run_trials(spec, model, ["PS"], rp, trials=0, seed=0)
+        for trials in (2.5, 2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+                run_trials(spec, model, ["PS"], rp, trials=trials, seed=0)
 
     @pytest.mark.parametrize("sizes", [(50, 0, 50), (0, 50, 50), (50, 50, 0)])
     def test_rejects_empty_samples(self, sizes, monkeypatch):

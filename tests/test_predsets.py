@@ -479,6 +479,24 @@ class TestWcpThreshold:
         with pytest.raises(ValueError, match="weights must be finite"):
             wcp_threshold(src, np.array(w), 0.25)
 
+    @pytest.mark.parametrize("w", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_weights_need_one_entry_per_label(self, w):
+        # Unchecked, a longer vector would be used silently and a shorter one raise IndexError.
+        rng = np.random.default_rng(36)
+        src, _, _, _ = random_instance(rng, m=60)
+        with pytest.raises(ValueError, match="one weight per label"):
+            wcp_threshold(src, np.array(w), 0.25)
+
+    def test_negative_weights_count_as_zero(self):
+        # As in rejection_sample and psr_threshold: a negative weight never counts.
+        rng = np.random.default_rng(36)
+        src, _, _, _ = random_instance(rng, m=200)
+        for eps in (0.1, 0.25, 0.5):
+            neg = wcp_threshold(src, np.array([-0.4, 1.0]), eps)
+            assert neg.tau == wcp_threshold(src, np.array([0.0, 1.0]), eps).tau
+        with pytest.raises(ValueError, match="all weights are zero"):
+            wcp_threshold(src, np.array([-1.0, -2.0]), 0.25)
+
     def test_weighted_order_statistic_oracle(self):
         rng = np.random.default_rng(37)
         for _ in range(20):
@@ -523,6 +541,13 @@ class TestEvaluateSet:
         exp_size = np.mean([(test.scores[i] >= 0.45).sum() for i in range(test.n)])
         assert err == pytest.approx(exp_err)
         assert size == pytest.approx(exp_size)
+
+    @pytest.mark.parametrize("tau", [0.45, -math.inf, math.nan])
+    def test_empty_table_rejected(self, tau):
+        # Error and size are means over rows, so a table with no rows has neither.
+        empty = ScoreTable(scores=np.empty((0, 2)), labels=np.empty(0, dtype=int))
+        with pytest.raises(ValueError, match="no rows"):
+            evaluate_set(ThresholdResult(tau), empty)
 
 
 class TestThresholdResult:

@@ -110,6 +110,12 @@ class TestShiftSpec:
     def test_rejects_negative_sizes(self):
         with pytest.raises(ValueError):
             ShiftSpec([0.5, 0.5], [0.5, 0.5], -1, 10, 10)
+        # A size is a count: NaN, inf, fractions and floats such as 1e3 are rejected too.
+        for bad in (np.nan, np.inf, 10.5, 1e3, 10.0):
+            for sizes in ((bad, 10, 10), (10, bad, 10), (10, 10, bad)):
+                with pytest.raises(ValueError, match="must be a nonnegative integer"):
+                    ShiftSpec([0.5, 0.5], [0.5, 0.5], *sizes)
+        assert ShiftSpec([0.5, 0.5], [0.5, 0.5], np.int64(10), 10, 10).m == 10
 
 
 class TestSyntheticModel:

@@ -103,6 +103,12 @@ class TestDeltaSplit:
         with pytest.raises(ValueError, match=f"too small to split over {k * (k + 1) + 1} levels"):
             delta_split(k, 5e-324)
 
+    @pytest.mark.parametrize("delta", [2.0, 1.0, 0.0, -1.0, math.nan, math.inf])
+    def test_delta_outside_unit_interval_raises(self, delta):
+        # Unchecked, 2.0 would split into (1.846, 0.154) and NaN or -1 read as too small.
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\), got"):
+            delta_split(3, delta)
+
     @pytest.mark.parametrize("k", [0, 1, -3, 2.5, 3.0, math.nan, True])
     def test_k_not_an_integer_of_at_least_2_raises(self, k):
         with pytest.raises(ValueError, match="K must be an integer >= 2"):
