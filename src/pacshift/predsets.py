@@ -177,16 +177,23 @@ def psw_threshold(
         return ThresholdResult(-math.inf)
 
     def fails(tau: float) -> bool:
+        # Per label: each prefix's rows above the lower corner, and its errors.
+        (off, e), *rest = [
+            (acc - acc[0], np.concatenate(([0], np.cumsum(sk < tau)))[acc])
+            for acc, sk in per_label
+        ]
         # dp[i] = worst error count of the labels so far over patterns i rows
-        # above their lower corner, or -1 if no pattern has that size.
-        dp = np.zeros(1, dtype=np.int64)
-        for acc, sk in per_label:
-            errs = np.concatenate(([0], np.cumsum(sk < tau)))
-            new_dp = np.full(len(dp) + acc[-1] - acc[0], -1, dtype=np.int64)
+        # above their lower corner, or -1 if no pattern has that size.  The
+        # first label's prefixes are its patterns: distinct sizes, errors >= 0.
+        dp = np.full(1 + off[-1], -1, dtype=np.int64)
+        dp[off] = e
+        for off, e in rest:
+            n = len(dp)
+            new_dp = np.full(n + off[-1], -1, dtype=np.int64)
             unreachable = dp < 0  # fixed while this label's prefixes are tried
-            for a in acc:
-                seg = new_dp[a - acc[0] : a - acc[0] + len(dp)]
-                shifted = np.where(unreachable, -1, dp + errs[a])
+            for o, ek in zip(off.tolist(), e.tolist()):
+                seg = new_dp[o : o + n]
+                shifted = np.where(unreachable, -1, dp + ek)
                 np.maximum(seg, shifted, out=seg)
             dp = new_dp
         # Unreachable sizes hold -1 and kbin >= 0 > -1, so only reachable ones fail.
@@ -227,7 +234,7 @@ def wcp_threshold(src: ScoreTable, pointw: np.ndarray, eps: float) -> ThresholdR
     u = _weight_vector(pointw, src.k)[src.labels]
     total = u.sum()
     if total <= 0:
-        raise ValueError("all weights are zero")
+        raise ValueError("no source row has a positive weight")
     order = np.argsort(src.true_scores(), kind="stable")
     s = src.true_scores()[order]
     cum = np.concatenate(([0.0], np.cumsum(u[order])))

@@ -34,7 +34,7 @@ from pacshift import (
     wcp_threshold,
     weight_box,
 )
-from pacshift.predsets import ABORTED, CALIBRATED, FULL_SET
+from pacshift.predsets import ABORTED, CALIBRATED, FULL_SET, _per_label_acceptance
 
 from oracles import ps_oracle, psw_brute_force, psw_full_table
 
@@ -71,7 +71,8 @@ def planted_boundary_instance(rng):
 
 
 AWKWARD_PSW = ["empty-label", "all-tied-v", "m=1", "k=2", "delta-near-0", "delta-near-1",
-               "high-lower-corners", "lower-corner-at-N0"]
+               "high-lower-corners", "lower-corner-at-N0", "empty-first-label",
+               "first-label-one-prefix"]
 
 
 def awkward_instance(rng, case):
@@ -84,14 +85,18 @@ def awkward_instance(rng, case):
     prefix is not empty, and at least one label's box width is zero.  For
     the lower corner at N0, epsilon = 0.5 and delta = 0.2 make N0 = 3 rows
     the least sample size with a threshold, and every lower bound is <= 0,
-    so the lower corner accepts just the 2 or 3 rows placed at v = 0.
+    so the lower corner accepts just the 2 or 3 rows placed at v = 0.  PS-W's
+    DP is seeded with label 0, so two kinds shape that label: with an empty
+    first label no row has it (``empty-label`` empties the last label), and
+    with one first-label prefix its box has width 0 at a positive weight.
     """
     k = 2 if case == "k=2" else 3
     if case == "m=1":
         m = 1
     else:
         m = int(rng.integers(12, 21) if case == "delta-near-0" else rng.integers(4, 11))
-    labels = rng.integers(0, k - 1 if case == "empty-label" else k, size=m)
+    low = 1 if case == "empty-first-label" else 0
+    labels = rng.integers(low, k - 1 if case == "empty-label" else k, size=m)
     scores = rng.dirichlet(np.ones(k), size=m)
     v = rng.integers(0, 5, size=m) / 4
     if case == "all-tied-v":
@@ -118,6 +123,8 @@ def awkward_instance(rng, case):
         lo[rng.integers(k)] = 0.0
         hi = lo + rng.uniform(0.3, 1.5, size=k)
         epsilon, delta = 0.5, 0.2
+    elif case == "first-label-one-prefix":
+        lo[0] = hi[0] = rng.uniform(0.1, 1.0)
     src = ScoreTable(scores=scores, labels=labels)
     return src, AcceptanceRandomness(v=v), WeightBox(lo, hi), RiskParams(epsilon, delta)
 
@@ -325,6 +332,18 @@ class TestPswThreshold:
             assert set(accepted.tolist()) == set(range(src.k))
             assert np.any(box.lo == box.hi)
 
+    @pytest.mark.parametrize("case", ["empty-first-label", "first-label-one-prefix"])
+    def test_first_label_kinds_give_label_0_one_prefix(self, case):
+        rng = np.random.default_rng(AWKWARD_PSW.index(case))
+        with_rows = 0
+        for _ in range(40):
+            src, v, box, _ = awkward_instance(rng, case)
+            (acc, _), *_ = _per_label_acceptance(src, v, box)
+            assert len(acc) == 1
+            with_rows += int(acc[0]) > 0
+        # Only the width-0 kind's one prefix holds rows: in 23 of the 40.
+        assert (with_rows > 0) == (case == "first-label-one-prefix")
+
     def test_lower_corner_at_n0_decides_the_full_set(self):
         rng = np.random.default_rng(AWKWARD_PSW.index("lower-corner-at-N0"))
         seen = set()
@@ -349,7 +368,7 @@ class TestPswThreshold:
             tau = psw_threshold(src, v, box, rp).tau
             assert (tau == -math.inf) == (binom_k(n_lo, rp) < 0)
             full += tau == -math.inf
-        # Both outcomes are common: 156 of the 320 are full sets.
+        # Both outcomes are common: 153 of the 320 are full sets.
         assert 80 < full < 240
 
     @pytest.mark.parametrize("m, seeds", [(1000, 6), (3000, 4)])
@@ -494,8 +513,13 @@ class TestWcpThreshold:
         for eps in (0.1, 0.25, 0.5):
             neg = wcp_threshold(src, np.array([-0.4, 1.0]), eps)
             assert neg.tau == wcp_threshold(src, np.array([0.0, 1.0]), eps).tau
-        with pytest.raises(ValueError, match="all weights are zero"):
+        with pytest.raises(ValueError, match="no source row has a positive weight"):
             wcp_threshold(src, np.array([-1.0, -2.0]), 0.25)
+
+    def test_positive_weight_only_on_a_label_absent_from_the_source(self):
+        src = ScoreTable(scores=np.array([[0.7, 0.3], [0.4, 0.6]]), labels=np.array([0, 0]))
+        with pytest.raises(ValueError, match="no source row has a positive weight"):
+            wcp_threshold(src, np.array([0.0, 1.0]), 0.25)
 
     def test_weighted_order_statistic_oracle(self):
         rng = np.random.default_rng(37)
