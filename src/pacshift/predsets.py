@@ -14,7 +14,7 @@ Calibrators:
   ``v <= w[y] / b``, so rows with tied v are accepted together and each
   label's accepted rows form a prefix in v order.  Computed exactly via a
   per-label breakpoint scheme over the sampler's cells and a dynamic program
-  over the reachable total sample sizes only.
+  keeping the most errors made with at most each total sample size.
 * ``psc_threshold``  - conservative baseline: inflate the error budget by
   the envelope bound b and calibrate unweighted.
 * ``psr_threshold``  - rejection sampling with plug-in weights, ignoring
@@ -160,8 +160,8 @@ def psw_threshold(
     the accepted error count stays within the binomial bound at the
     accepted sample size.  Per label the feasible patterns are the
     ``rejection_sample`` prefixes (v <= w_k / b) between the box's two
-    corners; a DP over labels gives the worst total error for each total
-    accepted count, and a bisection over the (monotone) candidate grid
+    corners; a DP over labels gives the most errors made with at most each
+    total accepted count, and a bisection over the (monotone) candidate grid
     finds the first failing tau, whose predecessor is the answer.
     """
     if isinstance(box, Aborted):
@@ -177,26 +177,16 @@ def psw_threshold(
         return ThresholdResult(-math.inf)
 
     def fails(tau: float) -> bool:
-        # Per label: each prefix's rows above the lower corner, and its errors.
-        (off, e), *rest = [
-            (acc - acc[0], np.concatenate(([0], np.cumsum(sk < tau)))[acc])
-            for acc, sk in per_label
-        ]
-        # dp[i] = worst error count of the labels so far over patterns i rows
-        # above their lower corner, or -1 if no pattern has that size.  The
-        # first label's prefixes are its patterns: distinct sizes, errors >= 0.
-        dp = np.full(1 + off[-1], -1, dtype=np.int64)
-        dp[off] = e
-        for off, e in rest:
-            n = len(dp)
-            new_dp = np.full(n + off[-1], -1, dtype=np.int64)
-            unreachable = dp < 0  # fixed while this label's prefixes are tried
-            for o, ek in zip(off.tolist(), e.tolist()):
-                seg = new_dp[o : o + n]
-                shifted = np.where(unreachable, -1, dp + ek)
-                np.maximum(seg, shifted, out=seg)
+        # dp[i] = most errors any pattern of the labels so far makes with at most
+        # n_lo + i rows.  As k(N) is nondecreasing, some pattern errs more than
+        # k(N) at its own size N iff dp exceeds kbin somewhere.
+        dp = np.zeros(len(kbin), dtype=np.int64)
+        for acc, sk in per_label:
+            errs = np.concatenate(([0], np.cumsum(sk < tau)))[acc]
+            new_dp = np.zeros_like(dp)
+            for o, e in zip((acc - acc[0]).tolist(), errs.tolist()):
+                np.maximum(new_dp[o:], dp[: len(dp) - o] + e, out=new_dp[o:])
             dp = new_dp
-        # Unreachable sizes hold -1 and kbin >= 0 > -1, so only reachable ones fail.
         return bool(np.any(dp > kbin))
 
     candidates = np.unique(src.true_scores())

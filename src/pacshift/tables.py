@@ -25,7 +25,7 @@ class ScoreTable:
             raise ValueError("scores must be a 2-D array")
         if self.scores.shape[1] < 2:
             raise ValueError("need at least 2 label columns")
-        if not np.all(np.isfinite(self.scores).any(axis=1)) and self.n > 0:
+        if not np.all(np.isfinite(self.scores).any(axis=1)):
             raise ValueError("every row needs at least one finite score")
         if self.labels is not None:
             # Checked before the int cast, which turns NaN, inf or 1e300 into an arbitrary int.

@@ -3,10 +3,12 @@
 Each brute-force oracle is computed independently of the library: the
 binomial tail by scipy's CDF scan, and PS-W by enumerating every acceptance
 cell of the rejection sampler.  Both are slow and meant for tiny instances
-only.  ``psw_full_table`` is PS-W's earlier dynamic program over every total
-size 0..n_max, kept to check the windowed one at sizes the brute force
-cannot reach; it reuses the library's ``_per_label_acceptance`` and
-``binom_k``, so it is not independent of the library.
+only.  ``psw_full_table`` is PS-W's earlier dynamic program over every exact
+total size 0..n_max, with -1 marking the sizes no pattern reaches.  It checks
+the library's formulation, the most errors with at most each size, at sizes
+the brute force cannot reach; it reuses the library's
+``_per_label_acceptance`` and ``binom_k``, so it is not independent of the
+library.
 """
 
 import bisect

@@ -85,10 +85,10 @@ def awkward_instance(rng, case):
     prefix is not empty, and at least one label's box width is zero.  For
     the lower corner at N0, epsilon = 0.5 and delta = 0.2 make N0 = 3 rows
     the least sample size with a threshold, and every lower bound is <= 0,
-    so the lower corner accepts just the 2 or 3 rows placed at v = 0.  PS-W's
-    DP is seeded with label 0, so two kinds shape that label: with an empty
-    first label no row has it (``empty-label`` empties the last label), and
-    with one first-label prefix its box has width 0 at a positive weight.
+    so the lower corner accepts just the 2 or 3 rows placed at v = 0.  Two
+    kinds shape label 0, the first one PS-W's DP adds: with an empty first
+    label no row has it (``empty-label`` empties the last label), and with
+    one first-label prefix its box has width 0 at a positive weight.
     """
     k = 2 if case == "k=2" else 3
     if case == "m=1":
@@ -243,6 +243,8 @@ class TestRejectionSample:
             rejection_sample(src, v, np.array([1.0, 2.0]), 1.5)
         with pytest.raises(ValueError):
             rejection_sample(src, v, np.array([0.5, 0.5]), 0.0)
+        with pytest.raises(ValueError, match="need one uniform per source row"):
+            rejection_sample(src, AcceptanceRandomness(v.v[:-1]), np.array([0.5, 0.5]), 1.0)
 
     @pytest.mark.parametrize("w", [[1.0], [0.5, 0.5, 0.1]])
     def test_weights_need_one_entry_per_label(self, w):
@@ -497,6 +499,13 @@ class TestWcpThreshold:
         src, _, _, _ = random_instance(rng, m=60)
         with pytest.raises(ValueError, match="weights must be finite"):
             wcp_threshold(src, np.array(w), 0.25)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_eps_outside_the_open_unit_interval_rejected(self, eps):
+        rng = np.random.default_rng(36)
+        src, _, _, _ = random_instance(rng, m=60)
+        with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
+            wcp_threshold(src, np.array([1.0, 1.0]), eps)
 
     @pytest.mark.parametrize("w", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
     def test_weights_need_one_entry_per_label(self, w):

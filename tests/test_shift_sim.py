@@ -98,6 +98,10 @@ class TestShiftSpec:
             ShiftSpec([0.5, 0.5], [1.1, -0.1], 10, 10, 10)
         with pytest.raises(ValueError):
             ShiftSpec([0.5, np.nan], [0.5, 0.5], 10, 10, 10)
+        with pytest.raises(ValueError, match="source_dist must be a vector with K >= 2"):
+            ShiftSpec([1.0], [1.0], 10, 10, 10)
+        with pytest.raises(ValueError, match="source and target distributions must share K"):
+            ShiftSpec([0.5, 0.5], np.full(3, 1 / 3), 10, 10, 10)
 
     def test_rejects_target_outside_source_support(self):
         with pytest.raises(ValueError):
@@ -238,6 +242,8 @@ class TestSampleShifted:
         src, tgt, test = sample_shifted(spec, small_model(), seed=57)
         assert (src.n, tgt.n, test.n) == (21, 13, 8)
         assert src.is_labeled and test.is_labeled and not tgt.is_labeled
+        with pytest.raises(ValueError, match="model and spec disagree on K"):
+            sample_shifted(ShiftSpec([0.5, 0.5], [0.5, 0.5], 21, 13, 8), small_model(), seed=57)
 
     def test_peak_memory(self):
         # The three tables are built one after another, each scored in its

@@ -10,6 +10,23 @@ def table(scores, labels=None):
     return ScoreTable(scores=np.array(scores, dtype=float), labels=labels)
 
 
+@pytest.mark.parametrize("scores, labels, message", [
+    ([0.5, 0.5], None, "scores must be a 2-D array"),
+    ([[[0.5, 0.5]]], None, "scores must be a 2-D array"),
+    ([[1.0], [1.0]], None, "need at least 2 label columns"),
+    ([[0.5, 0.5], [0.2, 0.8]], [0], "labels must be a vector matching the row count"),
+    ([[0.5, 0.5], [0.2, 0.8]], [[0, 1]], "labels must be a vector matching the row count"),
+], ids=["1-d", "3-d", "one-column", "short-labels", "2-d-labels"])
+def test_bad_shapes_rejected(scores, labels, message):
+    with pytest.raises(ValueError, match=message):
+        table(scores, labels=labels)
+
+
+def test_true_scores_need_labels():
+    with pytest.raises(ValueError, match="table has no labels"):
+        table([[0.5, 0.5]]).true_scores()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_true_label_score_rejected(bad):
     with pytest.raises(ValueError, match="true-label scores must be finite"):

@@ -174,6 +174,11 @@ class TestCpBounds:
         with pytest.raises(ValueError, match="shapes"):
             cp_bounds(conf, qh, 0.01)
 
+    @pytest.mark.parametrize("delta_total", [0.0, 1.0])
+    def test_delta_total_outside_the_open_unit_interval_raises(self, delta_total):
+        with pytest.raises(ValueError, match=r"delta_total must be in \(0, 1\)"):
+            cp_bounds(np.full((2, 2), 10), np.array([10, 10]), delta_total)
+
     def test_negative_counts_raise(self):
         # NaN, inf and fractional counts are rejected here too, not later in cp_interval.
         for bad in [-1, np.nan, np.inf, 1.5]:
