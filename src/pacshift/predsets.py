@@ -132,8 +132,9 @@ def _per_label_acceptance(src, v, box):
     For label k, ``rejection_sample`` at any w_k in the box accepts a prefix
     of the label's rows sorted by v; rows with tied v accept together.  The
     shortest and longest prefixes are the sampler's own counts at the box's
-    corners.  Returns, per label, the achievable prefix lengths (the tie
-    group ends in between) and the v-sorted true-label scores.
+    corners, and each prefix between them counts the rows with v at most
+    the v of a row between them.  Returns, per label, the achievable prefix
+    lengths in increasing order and the v-sorted true-label scores.
     """
     b = box.envelope_b
     a_min = np.bincount(src.labels[rejection_sample(src, v, box.lo, b)], minlength=src.k)
@@ -144,10 +145,8 @@ def _per_label_acceptance(src, v, box):
         idx = np.flatnonzero(src.labels == k)
         idx = idx[np.argsort(v.v[idx], kind="stable")]
         vk, sk = v.v[idx], s_true[idx]
-        # Prefix length a ends a tie group iff a == len(vk) or vk[a] > vk[a-1].
-        ends_group = np.append(vk[1:] > vk[:-1], True)
-        a = np.arange(a_min[k] + 1, a_max[k] + 1)
-        per_label.append((np.concatenate(([a_min[k]], a[ends_group[a - 1]])), sk))
+        longer = np.unique(np.searchsorted(vk, vk[a_min[k] : a_max[k]], side="right"))
+        per_label.append((np.concatenate(([a_min[k]], longer)), sk))
     return per_label
 
 

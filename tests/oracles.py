@@ -1,10 +1,12 @@
 """Brute-force oracles and small interval helpers shared by the tests.
 
-Each brute-force oracle is computed independently of the library: the
-binomial tail by scipy's CDF scan, and PS-W by enumerating every acceptance
-cell of the rejection sampler.  Both are slow and meant for tiny instances
-only.  ``psw_full_table`` is PS-W's earlier dynamic program over every exact
-total size 0..n_max, with -1 marking the sizes no pattern reaches.  It checks
+Each brute-force oracle is computed independently of the library, and none
+calls ``betainc``.  The binomial CDF is summed in mpmath, and the tail
+inversion k(N) is decided in exact integers, so ties at delta are exact.
+PS-W's oracle enumerates every acceptance cell of the rejection sampler.
+All are slow, and PS-W's is for tiny instances only.  ``psw_full_table``
+is PS-W's earlier dynamic program over every exact total size 0..n_max,
+with -1 marking the sizes no pattern reaches.  It checks
 the library's formulation, the most errors with at most each size, at sizes
 the brute force cannot reach; it reuses the library's
 ``_per_label_acceptance`` and ``binom_k``, so it is not independent of the
@@ -15,8 +17,8 @@ import bisect
 import itertools
 import math
 
+import mpmath
 import numpy as np
-from scipy import stats
 
 from pacshift import Interval
 from pacshift.binomial import binom_k
@@ -35,21 +37,49 @@ def contains(box, w) -> bool:
     return bool(np.all(box.lo <= w) and np.all(w <= box.hi))
 
 
-def binom_k_oracle(m, rp):
-    """Largest k with binom.cdf(k, m, eps) <= delta, or None if none."""
-    best = None
-    for k in range(m + 1):
-        if stats.binom.cdf(k, m, rp.epsilon) <= rp.delta:
-            best = k
-        else:
-            break
-    return best
+def binom_cdf_oracle(k, m, eps) -> float:
+    """P[Binom(m, eps) <= k] at 50 digits, from the tail on k's side of the mode.
+
+    Below the mode it sums P(X = i) down from i = k, else 1 minus the sum up
+    from i = k + 1.  Either way the terms shrink, and it stops at the first
+    term that no longer changes the sum.
+    """
+    with mpmath.workdps(50):
+        e, lower = mpmath.mpf(eps), k < (m + 1) * eps
+        i = k if lower else k + 1
+        term, total = mpmath.binomial(m, i) * e**i * (1 - e) ** (m - i), mpmath.mpf(0)
+        while total + term != total:
+            total += term
+            if lower:
+                term *= i * (1 - e) / ((m - i + 1) * e)
+                i -= 1
+            else:
+                term *= (m - i) * e / ((i + 1) * (1 - e))
+                i += 1
+        return float(total if lower else 1 - total)
+
+
+def binom_k_oracle(m, rp) -> int:
+    """Largest k with P[Binom(m, eps) <= k] <= delta, or -1, in exact integers.
+
+    With eps = p/q and delta = r/s the floats' exact ratios, F(k) = S_k / q^m
+    where S_k sums the integers C(m, i) p^i (q - p)^(m - i) over i <= k, so
+    F(k) <= delta iff s S_k <= r q^m.  Nothing rounds, so ties are decided.
+    """
+    (p, q), (r, s) = float(rp.epsilon).as_integer_ratio(), float(rp.delta).as_integer_ratio()
+    m, k = int(m), 0
+    term = total = (q - p) ** m
+    bound = r * q**m
+    while s * total <= bound:  # F(m) = 1 > delta ends the scan
+        term = term * (m - k) * p // ((k + 1) * (q - p))
+        k, total = k + 1, total + term
+    return k - 1
 
 
 def ps_oracle(true_scores, rp):
     """PS threshold: the (k+1)-th smallest true-label score, or -inf."""
     k = binom_k_oracle(len(true_scores), rp)
-    if k is None:
+    if k < 0:
         return -math.inf
     return float(np.sort(true_scores)[k])
 

@@ -14,7 +14,6 @@ import json
 import math
 import time
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -41,36 +40,13 @@ from pacshift import (
 from pacshift import cli, harness, weights
 from pacshift.cli import write_scores
 
-from oracles import exact, psw_brute_force
+from oracles import binom_cdf_oracle, exact, psw_brute_force
 
 
 def report(capsys, name, ok, detail=""):
     with capsys.disabled():
         print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f"  ({detail})" if detail else ""))
     assert ok, f"{name}: {detail}"
-
-
-def mp_cdf(k, m, eps):
-    """Direct extended-precision summation of the shorter binomial tail.
-
-    Terms follow the ratio recurrence t_{i+1} = t_i (m-i)/(i+1) e/(1-e),
-    so no individual binomial coefficients are recomputed.
-    """
-    with mpmath.workdps(50):
-        e = mpmath.mpf(eps)
-        ratio = e / (1 - e)
-
-        def tail_sum(lo, hi):  # sum of P(X = i) for i in [lo, hi]
-            term = mpmath.binomial(m, lo) * e**lo * (1 - e) ** (m - lo)
-            total = term
-            for i in range(lo, hi):
-                term *= ratio * (m - i) / (i + 1)
-                total += term
-            return total
-
-        if k + 1 <= m - k:
-            return float(tail_sum(0, k))
-        return float(1 - tail_sum(k + 1, m)) if k < m else 1.0
 
 
 def test_criterion_1_binomial_tails(capsys):
@@ -81,7 +57,7 @@ def test_criterion_1_binomial_tails(capsys):
         m = int(rng.integers(1, 10_001))
         k = int(rng.integers(0, m + 1))
         eps = float(rng.uniform(1e-4, 1 - 1e-4))
-        worst = max(worst, abs(binom_cdf(k, m, eps) - mp_cdf(k, m, eps)))
+        worst = max(worst, abs(binom_cdf(k, m, eps) - binom_cdf_oracle(k, m, eps)))
     cdf_ok = worst <= 1e-10
 
     sandwich_ok = True

@@ -1,9 +1,9 @@
 """Tests for the binomial tail machinery.
 
-Oracles are computed independently of the implementation: direct
-extended-precision summation (mpmath) for the CDF, a linear scan for the
-tail inversion, and bisection against the summed CDF (or, at levels too
-small for float quantiles, the mpmath incomplete beta) for Clopper-Pearson.
+Oracles are computed independently of the implementation: the summed
+mpmath CDF and the exact integer tail inversion of ``tests/oracles.py``, and
+bisection against that CDF (or, at levels too small for float quantiles,
+the mpmath incomplete beta) for Clopper-Pearson.
 The array forms of cp_interval and binom_k must also equal, bit for bit,
 the per-entry scalar computations they replaced.
 """
@@ -18,64 +18,7 @@ from scipy import special
 
 from pacshift import RiskParams, binom_cdf, binom_k, cp_interval, delta_split
 
-
-def cdf_oracle(k: int, m: int, eps: float) -> float:
-    """Direct summation of the binomial CDF at 60 significant digits.
-
-    Terms follow t_{i+1} = t_i (m-i)/(i+1) e/(1-e) from t_0 = (1-e)^m.
-    """
-    with mpmath.workdps(60):
-        e = mpmath.mpf(eps)
-        ratio = e / (1 - e)
-        term = (1 - e) ** m
-        total = term
-        for i in range(k):
-            term *= ratio * (m - i) / (i + 1)
-            total += term
-        return float(total)
-
-
-def binom_k_scan_oracle(m: int, rp: RiskParams):
-    """Largest k with F(k) <= delta by linear scan, using the summed CDF.
-
-    F(k) is a running sum at 60 significant digits whose terms follow
-    t_{k+1} = t_k (m-k)/(k+1) e/(1-e), so the scan is linear in k.
-    """
-    best = None
-    with mpmath.workdps(60):
-        e = mpmath.mpf(rp.epsilon)
-        ratio = e / (1 - e)
-        term = (1 - e) ** m
-        total = term
-        for k in range(m + 1):
-            if float(total) <= rp.delta:
-                best = k
-            else:
-                break
-            term *= ratio * (m - k) / (k + 1)
-            total += term
-    return best
-
-
-def tail_cdf_oracle(k: int, m: int, eps: float) -> float:
-    """F(k) at 50 digits, summing P(X = i) downward from i = k.
-
-    Terms follow t_{i-1} = t_i * i / (m - i + 1) * (1 - e) / e and the sum
-    stops once a term is below 1e-30 of the total, so large m stays cheap
-    when k is not far above the mean.
-    """
-    with mpmath.workdps(50):
-        e = mpmath.mpf(eps)
-        ratio = (1 - e) / e
-        term = mpmath.binomial(m, k) * e**k * (1 - e) ** (m - k)
-        total = term
-        tiny = mpmath.mpf(10) ** -30
-        i = k
-        while i > 0 and term > total * tiny:
-            term *= ratio * i / (m - i + 1)
-            total += term
-            i -= 1
-        return float(total)
+from oracles import binom_cdf_oracle, binom_k_oracle
 
 
 def _scalar_cdf(k: int, m: int, eps: float) -> float:
@@ -107,10 +50,10 @@ def cp_bisect_oracle(x: int, n: int, level: float) -> tuple[float, float]:
     """Clopper-Pearson (lo, hi) by bisection on the exact binomial tails."""
 
     def upper_tail(p):  # P(X >= x)
-        return 1.0 - cdf_oracle(x - 1, n, p) if x > 0 else 1.0
+        return 1.0 - binom_cdf_oracle(x - 1, n, p) if x > 0 else 1.0
 
     def lower_tail(p):  # P(X <= x)
-        return cdf_oracle(x, n, p)
+        return binom_cdf_oracle(x, n, p)
 
     def bisect(f, target, increasing):
         lo, hi = 0.0, 1.0
@@ -175,7 +118,7 @@ class TestBinomCdf:
 
     def test_large_case_matches_direct_summation(self):
         assert binom_cdf(500, 5000, 0.1) == pytest.approx(
-            cdf_oracle(500, 5000, 0.1), abs=1e-10
+            binom_cdf_oracle(500, 5000, 0.1), abs=1e-10
         )
 
     def test_random_cases_match_direct_summation(self):
@@ -185,7 +128,7 @@ class TestBinomCdf:
             k = int(rng.integers(0, m + 1))
             eps = float(rng.uniform(0.01, 0.99))
             assert binom_cdf(k, m, eps) == pytest.approx(
-                cdf_oracle(k, m, eps), abs=1e-10
+                binom_cdf_oracle(k, m, eps), abs=1e-10
             )
 
     def test_monotone_in_k(self):
@@ -226,7 +169,7 @@ class TestBinomCdf:
             ks.append(int(np.clip(round(m * eps + rng.uniform(-8, 2) * sd), 0, m)))
             epss.append(eps)
         got = binom_cdf(np.array(ks), m, np.array(epss))
-        want = np.array([tail_cdf_oracle(k, m, e) for k, e in zip(ks, epss)])
+        want = np.array([binom_cdf_oracle(k, m, e) for k, e in zip(ks, epss)])
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -247,6 +190,23 @@ class TestBinomK:
     def test_trivial_half(self):
         assert binom_k(1, RiskParams(epsilon=0.5, delta=0.6)) == 0
 
+    def test_exact_tie_counts_as_within_delta(self):
+        # At eps = delta = 0.5, F((m - 1) / 2) is exactly 0.5 for odd m, and
+        # betainc returns 0.5 at m = 1 and 3.
+        rp = RiskParams(epsilon=0.5, delta=0.5)
+        for m in (1, 3):
+            assert binom_cdf((m - 1) // 2, m, 0.5) == 0.5
+            assert binom_k(m, rp) == (m - 1) // 2
+        # Elsewhere betainc may round a tie up, which only lowers k.
+        for m in range(61):
+            assert binom_k(m, rp) <= binom_k_oracle(m, rp)
+
+    def test_oracle_decides_exact_ties(self):
+        # By symmetry F((m - 1) // 2) is 0.5 at odd m and below it at even m,
+        # and F at the next k is above 0.5.
+        rp = RiskParams(epsilon=0.5, delta=0.5)
+        assert [binom_k_oracle(m, rp) for m in range(61)] == [(m - 1) // 2 for m in range(61)]
+
     def test_no_feasible_k(self):
         assert binom_k(10, RiskParams(epsilon=0.01, delta=1e-10)) == -1
 
@@ -255,7 +215,7 @@ class TestBinomK:
 
     def test_reference_case_matches_scan(self):
         rp = RiskParams(epsilon=0.1, delta=5e-4)
-        assert binom_k(5000, rp) == binom_k_scan_oracle(5000, rp)
+        assert binom_k(5000, rp) == binom_k_oracle(5000, rp)
 
     def test_sandwich_property_random(self):
         rng = np.random.default_rng(1)

@@ -16,7 +16,9 @@ from pacshift import (
     RiskParams,
     ShiftSpec,
     SyntheticModel,
+    ThresholdResult,
     aggregate,
+    delta_split,
     run_trials,
     tweak_one,
 )
@@ -99,6 +101,23 @@ class TestRunTrials:
         assert {m: s["aborts"] for m, s in summary.items()} == {
             "PS": 0, "PS-W": 1, "PS-C": 1, "PS-R": 1, "WCP": 1, "ORACLE": 0
         }
+
+    def test_box_methods_get_the_calibration_share_of_delta(self, monkeypatch):
+        # The box spends the rest of delta, so only PS-W and PS-C calibrate at
+        # delta_split's share; PS, PS-R and ORACLE spend the caller's rp.
+        spec, model = small_scenario()
+        rp = RiskParams(epsilon=0.2, delta=0.1)
+        seen = {}
+        for name in ("psw_threshold", "psc_threshold", "ps_threshold", "psr_threshold"):
+            def record(*args, name=name):
+                seen.setdefault(name, []).append(args[-1])
+                return ThresholdResult(0.5)
+
+            monkeypatch.setattr(harness, name, record)
+        run_trials(spec, model, ["PS", "PS-W", "PS-C", "PS-R", "ORACLE"], rp, trials=1, seed=64)
+        calib = RiskParams(rp.epsilon, delta_split(spec.k, rp.delta)[1])
+        assert seen == {"ps_threshold": [rp], "psw_threshold": [calib],
+                        "psc_threshold": [calib], "psr_threshold": [rp, rp]}
 
     def test_no_shift_ps_error_within_budget(self):
         spec = ShiftSpec(np.full(2, 0.5), np.full(2, 0.5), 2000, 100, 2000)

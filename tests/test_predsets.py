@@ -439,6 +439,18 @@ class TestPscThreshold:
         large = WeightBox([0.5, 0.5], [1.0, 2.5])
         assert psc_threshold(src, large, rp).tau <= psc_threshold(src, small, rp).tau
 
+    def test_matches_ps_oracle_at_eps_over_b(self):
+        # Half the boxes have b below 1, where eps / b may pass 1 and is capped.
+        rng = np.random.default_rng(43)
+        for b in np.concatenate([rng.uniform(0.3, 0.95, 20), rng.uniform(1.05, 3.0, 20)]):
+            src, _, _, rp = random_instance(rng, m=int(rng.integers(5, 200)))
+            hi = rng.permutation([b, b * rng.uniform(0.1, 1.0)])
+            box = WeightBox(hi * rng.uniform(-0.2, 1.0, size=2), hi)
+            assert box.envelope_b == b
+            eps = min(rp.epsilon / b, 1 - 1e-15)
+            want = ps_oracle(src.true_scores(), RiskParams(eps, rp.delta))
+            assert psc_threshold(src, box, rp).tau == want
+
     def test_aborted_box_propagates(self):
         rng = np.random.default_rng(31)
         src, _, _, rp = random_instance(rng)
@@ -564,6 +576,14 @@ class TestEvaluateSet:
         res = ThresholdResult(tau=1.1, status=CALIBRATED)
         err, size = evaluate_set(res, test)
         assert err == 1.0 and size == 0.0
+
+    def test_scores_at_tau_are_in_the_set(self):
+        # Row 0's true-label score is tau, so it is covered; row 1's other
+        # label scores tau, so that label is in its set.
+        test = ScoreTable(scores=np.array([[0.25, 0.75], [0.75, 0.25], [0.1, 0.9]]),
+                          labels=np.array([0, 0, 1]))
+        err, size = evaluate_set(ThresholdResult(tau=0.25), test)
+        assert err == 0.0 and size == 5 / 3
 
     def test_recount_oracle(self):
         rng = np.random.default_rng(41)
