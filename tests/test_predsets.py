@@ -391,6 +391,35 @@ class TestPswThreshold:
             tau = psw_threshold(src, v, box, rp).tau
             assert float(tau).hex() == float(psw_full_table(src, v, box, rp)).hex()
 
+    def test_error_counts_past_uint16_keep_tau_exact(self):
+        # A zero-width box has one pattern, its rejection sample, whose error
+        # count at tau passes 65535: a uint16 DP table would wrap without an error.
+        rng = np.random.default_rng(30)
+        n, w, rp = 100_000, np.array([1.0, 0.9]), RiskParams(0.9, 0.01)
+        src = ScoreTable(rng.dirichlet(np.ones(2), size=n), rng.integers(0, 2, size=n))
+        v = AcceptanceRandomness.draw(n, 31)
+        sample = src.subset(rejection_sample(src, v, w, w.max()))
+        ref = ps_threshold(sample, rp).tau
+        assert np.count_nonzero(sample.true_scores() < ref) > np.iinfo(np.uint16).max
+        tau = psw_threshold(src, v, WeightBox(w, w), rp).tau
+        assert float(tau).hex() == float(ref).hex()
+
+    @pytest.mark.parametrize("kind, seed", [("severe", 0), ("severe", 1), ("k10", 33), ("k10", 34)])
+    def test_label_order_leaves_tau_unchanged(self, kind, seed):
+        # The DP's max-plus combination over labels must not depend on their order.
+        if kind == "severe":
+            src, v, box, rp = severe_instance(3000, seed)
+        else:
+            src, v, box, rp = k10_instance(np.random.default_rng(seed))
+        tau = psw_threshold(src, v, box, rp).tau
+        assert math.isfinite(tau)
+        rng = np.random.default_rng(seed)
+        for perm in (np.arange(src.k)[::-1], rng.permutation(src.k)):
+            # New label j is old label perm[j]; each row keeps its true-label score.
+            src_p = ScoreTable(src.scores[:, perm], np.argsort(perm)[src.labels])
+            box_p = WeightBox(box.lo[perm], box.hi[perm])
+            assert float(psw_threshold(src_p, v, box_p, rp).tau).hex() == float(tau).hex()
+
     def test_never_above_exact_weight_oracle(self):
         rng = np.random.default_rng(26)
         for _ in range(30):
