@@ -174,15 +174,15 @@ def psw_threshold(
     kbin = binom_k(np.arange(n_lo, n_max + 1), rp)
     if kbin[0] < 0:
         return ThresholdResult(-math.inf)
-    dp_dtype = np.int32 if n_max <= np.iinfo(np.int32).max else np.int64
+    dp_dtype = np.min_scalar_type(n_max)
 
     def fails(tau: float) -> bool:
         # dp[i] = most errors any pattern of the labels so far makes with at most
         # n_lo + i rows.  As k(N) is nondecreasing, some pattern errs more than
         # k(N) at its own size N iff dp exceeds kbin somewhere.  Each entry, and each
-        # dp + e, is one pattern's error count, so it lies in [0, n_max]: int32 holds
-        # it (half the bytes of int64 per step) while n_max <= 2**31 - 1.  Fixed-width
-        # integers wrap without an error, so larger tables are int64.
+        # dp + e, is one pattern's error count, so it lies in [0, n_max]: the least
+        # unsigned type holding n_max holds them all, and an array plus an in-range
+        # int keeps the array's type.  A narrower type would wrap without an error.
         dp = np.zeros(len(kbin), dtype=dp_dtype)
         for acc, sk in per_label:
             errs = np.concatenate(([0], np.cumsum(sk < tau)))[acc]

@@ -14,7 +14,12 @@ import numpy as np
 
 @dataclass
 class ScoreTable:
-    """Per-example scores f(x, .) with optional true labels."""
+    """Per-example scores f(x, .) with optional true labels.
+
+    Scores are float64.  Labels are the narrowest signed integer type that
+    holds K - 1, ``np.min_scalar_type(-K)`` (int8 up to K = 128), so
+    arithmetic that can pass K - 1 must widen them first.
+    """
 
     scores: np.ndarray
     labels: np.ndarray | None = None
@@ -36,7 +41,7 @@ class ScoreTable:
                 raise ValueError("labels must be integers")
             if self.n > 0 and (labels.min() < 0 or labels.max() >= self.k):
                 raise ValueError("labels out of range")
-            self.labels = np.asarray(labels, dtype=int)
+            self.labels = np.asarray(labels, dtype=np.min_scalar_type(-self.k))
             # A NaN or infinite true-label score would count as covered.
             if not np.isfinite(self.true_scores()).all():
                 raise ValueError("true-label scores must be finite")

@@ -391,16 +391,23 @@ class TestPswThreshold:
             tau = psw_threshold(src, v, box, rp).tau
             assert float(tau).hex() == float(psw_full_table(src, v, box, rp)).hex()
 
-    def test_error_counts_past_uint16_keep_tau_exact(self):
-        # A zero-width box has one pattern, its rejection sample, whose error
-        # count at tau passes 65535: a uint16 DP table would wrap without an error.
+    @pytest.mark.parametrize("n, table, narrower", [
+        (250, np.uint8, np.int8),
+        (1000, np.uint16, np.uint8),
+        (100_000, np.uint32, np.uint16),
+    ], ids=["uint8", "uint16", "uint32"])
+    def test_error_counts_past_a_narrower_table_keep_tau_exact(self, n, table, narrower):
+        # A zero-width box has one pattern, its rejection sample, so n_max is its
+        # size.  Its error count at tau passes the next narrower type, in which
+        # the DP's sums would wrap, some without an error.
         rng = np.random.default_rng(30)
-        n, w, rp = 100_000, np.array([1.0, 0.9]), RiskParams(0.9, 0.01)
+        w, rp = np.array([1.0, 0.9]), RiskParams(0.9, 0.01)
         src = ScoreTable(rng.dirichlet(np.ones(2), size=n), rng.integers(0, 2, size=n))
         v = AcceptanceRandomness.draw(n, 31)
         sample = src.subset(rejection_sample(src, v, w, w.max()))
         ref = ps_threshold(sample, rp).tau
-        assert np.count_nonzero(sample.true_scores() < ref) > np.iinfo(np.uint16).max
+        assert np.min_scalar_type(sample.n) == table
+        assert np.count_nonzero(sample.true_scores() < ref) > np.iinfo(narrower).max
         tau = psw_threshold(src, v, WeightBox(w, w), rp).tau
         assert float(tau).hex() == float(ref).hex()
 
@@ -419,6 +426,26 @@ class TestPswThreshold:
             src_p = ScoreTable(src.scores[:, perm], np.argsort(perm)[src.labels])
             box_p = WeightBox(box.lo[perm], box.hi[perm])
             assert float(psw_threshold(src_p, v, box_p, rp).tau).hex() == float(tau).hex()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_doubled_scores_double_tau(self, seed):
+        # Doubling is exact and keeps the order, so every probe decides alike.
+        src, v, box, rp = severe_instance(3000, seed)
+        tau = psw_threshold(src, v, box, rp).tau
+        assert math.isfinite(tau)
+        doubled = ScoreTable(2 * src.scores, src.labels)
+        assert float(psw_threshold(doubled, v, box, rp).tau).hex() == float(2 * tau).hex()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_never_above_ps_at_weights_inside_the_box(self, seed):
+        # Every w in the box gives one of the patterns PS-W minimises over.
+        src, v, box, rp = severe_instance(3000, seed)
+        tau = psw_threshold(src, v, box, rp).tau
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            w = rng.uniform(box.lo, box.hi)
+            sample = src.subset(rejection_sample(src, v, w, box.envelope_b))
+            assert tau <= ps_threshold(sample, rp).tau
 
     def test_never_above_exact_weight_oracle(self):
         rng = np.random.default_rng(26)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pacshift import ScoreTable
+from pacshift import ScoreTable, estimate_confusion
+from pacshift.cli import read_scores, write_scores
 
 
 def table(scores, labels=None):
@@ -59,7 +60,7 @@ def test_integral_float_labels_accepted():
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, 1e300, -1.0, 2.0])
 def test_out_of_range_labels_rejected_before_the_cast(bad):
-    # inf and 1e300 have no int64 value; casting them first warns and wraps.
+    # inf and 1e300 have no integer value; casting them first warns and wraps.
     with pytest.raises(ValueError, match="labels out of range"):
         table([[0.5, 0.5], [0.2, 0.8]], labels=[bad, 0])
 
@@ -68,3 +69,37 @@ def test_predicted_skips_nan_scores():
     # The argmax over each row's non-NaN scores, ties to the lowest index.
     t = table([[0.3, np.nan, 0.7], [np.nan, np.nan, 0.5], [0.2, 0.2, np.nan]])
     assert t.predicted().tolist() == [2, 2, 0]
+
+
+def wide_table(k, n=400, seed=76):
+    """A labeled table with K = k whose labels include 0 and K - 1."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, k, size=n)
+    labels[:2] = [0, k - 1]
+    return ScoreTable(rng.dirichlet(np.ones(k), size=n), labels)
+
+
+@pytest.mark.parametrize("k, itemsize", [(2, 1), (128, 1), (129, 2), (300, 2)])
+def test_labels_use_the_narrowest_signed_type(k, itemsize):
+    t = wide_table(k)
+    assert t.labels.dtype.kind == "i" and t.labels.dtype.itemsize == itemsize
+    assert t.labels[1] == k - 1
+
+
+@pytest.mark.parametrize("k", [129, 300])
+def test_confusion_counts_with_narrow_labels(k):
+    # pred * K + label would wrap if it were computed in the labels' type.
+    t = wide_table(k)
+    want = np.zeros((k, k), dtype=int)
+    np.add.at(want, (np.argmax(t.scores, axis=1), t.labels.astype(int)), 1)
+    np.testing.assert_array_equal(estimate_confusion(t), want)
+
+
+def test_score_file_round_trip_at_k300(tmp_path):
+    t = wide_table(300)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_scores(str(first), t)
+    back = read_scores(str(first))
+    write_scores(str(second), back)
+    np.testing.assert_array_equal(back.labels, t.labels)
+    assert second.read_bytes() == first.read_bytes()
