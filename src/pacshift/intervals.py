@@ -53,8 +53,8 @@ class WeightBox(Interval):
 
     def __post_init__(self):
         super().__post_init__()
-        if not np.all(self.hi > 0):
-            raise ValueError("weight upper bounds must be positive")
+        if not np.all((self.hi > 0) & (self.hi < np.inf)):
+            raise ValueError("weight upper bounds must be positive and finite")
 
     @property
     def envelope_b(self) -> float:

@@ -71,6 +71,8 @@ class AcceptanceRandomness:
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=float)
+        if self.v.ndim != 1:
+            raise ValueError(f"acceptance uniforms must be 1-D, got shape {self.v.shape}")
         if not np.all((0 <= self.v) & (self.v <= 1)):
             raise ValueError("acceptance uniforms must lie in [0, 1]")
 
@@ -126,16 +128,26 @@ def rejection_sample(
     return np.flatnonzero(v.v <= w[src.labels] / b)
 
 
-def _per_label_acceptance(src, v, box):
-    """Per-label acceptance structure for the worst-case minimization.
+def psw_threshold(
+    src: ScoreTable, v: AcceptanceRandomness, box: WeightBox | Aborted, rp: RiskParams
+) -> ThresholdResult:
+    """min over w in the box of the PAC threshold on the rejection-sampled source.
 
-    For label k, ``rejection_sample`` at any w_k in the box accepts a prefix
-    of the label's rows sorted by v; rows with tied v accept together.  The
-    shortest and longest prefixes are the sampler's own counts at the box's
-    corners, and each prefix between them counts the rows with v at most
-    the v of a row between them.  Returns, per label, the achievable prefix
-    lengths in increasing order and the v-sorted true-label scores.
+    A candidate tau is attainable iff for every feasible acceptance pattern
+    the accepted error count stays within the binomial bound at the
+    accepted sample size.  For label k, ``rejection_sample`` at any w_k in
+    the box accepts a prefix of the label's rows sorted by v; rows with tied
+    v accept together.  The shortest and longest prefixes are the sampler's
+    own counts at the box's corners, and each prefix between them counts the
+    rows with v at most the v of a row between them.  A DP over labels gives
+    the most errors made with at most each total accepted count, and a
+    bisection over the (monotone) candidate grid finds the first failing
+    tau, whose predecessor is the answer.
     """
+    if isinstance(box, Aborted):
+        return ThresholdResult(math.nan)
+    # Per label: its achievable prefix lengths in increasing order, and its
+    # true-label scores in v order.
     b = box.envelope_b
     a_min = np.bincount(src.labels[rejection_sample(src, v, box.lo, b)], minlength=src.k)
     a_max = np.bincount(src.labels[rejection_sample(src, v, box.hi, b)], minlength=src.k)
@@ -147,25 +159,6 @@ def _per_label_acceptance(src, v, box):
         vk, sk = v.v[idx], s_true[idx]
         longer = np.unique(np.searchsorted(vk, vk[a_min[k] : a_max[k]], side="right"))
         per_label.append((np.concatenate(([a_min[k]], longer)), sk))
-    return per_label
-
-
-def psw_threshold(
-    src: ScoreTable, v: AcceptanceRandomness, box: WeightBox | Aborted, rp: RiskParams
-) -> ThresholdResult:
-    """min over w in the box of the PAC threshold on the rejection-sampled source.
-
-    A candidate tau is attainable iff for every feasible acceptance pattern
-    the accepted error count stays within the binomial bound at the
-    accepted sample size.  Per label the feasible patterns are the
-    ``rejection_sample`` prefixes (v <= w_k / b) between the box's two
-    corners; a DP over labels gives the most errors made with at most each
-    total accepted count, and a bisection over the (monotone) candidate grid
-    finds the first failing tau, whose predecessor is the answer.
-    """
-    if isinstance(box, Aborted):
-        return ThresholdResult(math.nan)
-    per_label = _per_label_acceptance(src, v, box)
 
     # Sizes run from n_lo (the lower corner's) to n_max.  At the least candidate no
     # pattern errs and k(N) is nondecreasing, so every tau fails (full set) iff k(n_lo) < 0.
@@ -192,7 +185,7 @@ def psw_threshold(
             dp = new_dp
         return bool(np.any(dp > kbin))
 
-    candidates = np.unique(src.true_scores())
+    candidates = np.unique(s_true)
     # fails() is monotone in tau (raising tau only adds errors); first_fail >= 1.
     first_fail = bisect.bisect_left(candidates, True, key=fails)
     return ThresholdResult(candidates[first_fail - 1])

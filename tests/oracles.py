@@ -1,16 +1,16 @@
-"""Brute-force oracles and small interval helpers shared by the tests.
+"""Oracles and small interval helpers shared by the tests.
 
-Each brute-force oracle is computed independently of the library, and none
-calls ``betainc``.  The binomial CDF is summed in mpmath, and the tail
-inversion k(N) is decided in exact integers, so ties at delta are exact.
-PS-W's oracle enumerates every acceptance cell of the rejection sampler.
-All are slow, and PS-W's is for tiny instances only.  ``psw_full_table``
-is PS-W's earlier dynamic program over every exact total size 0..n_max,
-with -1 marking the sizes no pattern reaches.  It checks
-the library's formulation, the most errors with at most each size, at sizes
-the brute force cannot reach; it reuses the library's
-``_per_label_acceptance`` and ``binom_k``, so it is not independent of the
-library.
+Every oracle here is computed from the definitions, independently of the
+library: it imports nothing from ``pacshift`` but the ``Interval`` type, and
+none calls ``betainc``.  The binomial CDF is summed in mpmath.  The tail
+inversion k(N) is decided in exact integers, one N at a time by
+``binom_k_oracle`` or for every N up to a size by the walk
+``binom_k_walk``, so ties at delta are exact.  PS-W's two oracles take each
+label's acceptance cells from ``acceptance_limits``, which derives them
+from ``v`` and the box.  ``psw_brute_force`` tries every combination of
+cells, so it is for tiny instances only.  ``psw_full_table`` runs a dynamic
+program over every exact total size 0..n_max, with -1 marking the sizes no
+pattern reaches, and so reaches thousands of rows.
 """
 
 import bisect
@@ -21,8 +21,6 @@ import mpmath
 import numpy as np
 
 from pacshift import Interval
-from pacshift.binomial import binom_k
-from pacshift.predsets import _per_label_acceptance
 
 
 def exact(a) -> Interval:
@@ -76,6 +74,30 @@ def binom_k_oracle(m, rp) -> int:
     return k - 1
 
 
+def binom_k_walk(n_max, rp) -> list[int]:
+    """binom_k_oracle(N, rp) for every N = 0..n_max, by one walk over N in exact integers.
+
+    k(N + 1) is k(N) or k(N) + 1, so the walk keeps j = k(N) + 1, the least k
+    with F(k; N) > delta.  With eps = p/q it holds S = q^N F(j; N) and
+    T = q^N P(X = j) as integers: one more draw gives
+    S(N + 1, j) = q S(N, j) - p T(N, j) and
+    T(N + 1, j) = T(N, j) (q - p) (N + 1) / (N + 1 - j), and j steps up
+    iff s S(N + 1, j) <= r q^(N + 1), where delta = r/s, as in
+    ``binom_k_oracle``.
+    """
+    (p, q), (r, s) = float(rp.epsilon).as_integer_ratio(), float(rp.delta).as_integer_ratio()
+    j, S, T, bound = 0, 1, 1, r  # N = 0: F(0; 0) = 1 > delta
+    ks = [-1]
+    for n in range(1, int(n_max) + 1):
+        S, T = q * S - p * T, T * (q - p) * n // (n - j)
+        bound *= q
+        if s * S <= bound:
+            T = T * (n - j) * p // ((j + 1) * (q - p))
+            j, S = j + 1, S + T
+        ks.append(j - 1)
+    return ks
+
+
 def ps_oracle(true_scores, rp):
     """PS threshold: the (k+1)-th smallest true-label score, or -inf."""
     k = binom_k_oracle(len(true_scores), rp)
@@ -84,8 +106,8 @@ def ps_oracle(true_scores, rp):
     return float(np.sort(true_scores)[k])
 
 
-def psw_brute_force(src, v, box, rp):
-    """Exact min of the PS threshold over every acceptance cell of the box.
+def acceptance_limits(src, v, box):
+    """Per label k, its row indices and the limits t that give all its cells.
 
     The rejection sampler accepts row i iff v_i <= w[y_i] / b, so label k
     accepts {v_i <= t} for a limit t between max(lo_k, 0) / b and hi_k / b.
@@ -94,13 +116,19 @@ def psw_brute_force(src, v, box, rp):
     at most the second give all of label k's cells.
     """
     b = box.envelope_b
-    s_true = src.true_scores()
-    per_label = []
     for k in range(src.k):
         idx = np.flatnonzero(src.labels == k)
         t_lo, t_hi = max(box.lo[k], 0.0) / b, box.hi[k] / b
-        limits = {t_lo, t_hi} | {t for t in v.v[idx] if t_lo < t <= t_hi}
-        per_label.append({frozenset(idx[v.v[idx] <= t].tolist()) for t in limits})
+        yield idx, {t_lo, t_hi} | {t for t in v.v[idx] if t_lo < t <= t_hi}
+
+
+def psw_brute_force(src, v, box, rp):
+    """Exact min of the PS threshold over every combination of acceptance cells."""
+    s_true = src.true_scores()
+    per_label = [
+        {frozenset(idx[v.v[idx] <= t].tolist()) for t in limits}
+        for idx, limits in acceptance_limits(src, v, box)
+    ]
     best = math.inf
     for combo in itertools.product(*per_label):
         rows = sorted(set().union(*combo))
@@ -109,21 +137,32 @@ def psw_brute_force(src, v, box, rp):
 
 
 def psw_full_table(src, v, box, rp):
-    """PS-W's tau from the DP that keeps every total size 0..n_max."""
-    per_label = _per_label_acceptance(src, v, box)
+    """PS-W's tau from a DP over every exact total size 0..n_max.
 
-    n_max = sum(int(acc[-1]) for acc, _ in per_label)
-    kbin = binom_k(np.arange(n_max + 1), rp)
+    In v order each of label k's cells is a prefix of its rows, whose length
+    is the number of the label's v at most the cell's limit.  A probe tau
+    fails iff some combination of cells makes more errors than k(N) at its
+    total size N.
+    """
+    s_true = src.true_scores()
+    per_label = []
+    for idx, limits in acceptance_limits(src, v, box):
+        order = np.argsort(v.v[idx], kind="stable")
+        sizes = np.searchsorted(v.v[idx][order], sorted(limits), side="right")
+        per_label.append((np.unique(sizes), s_true[idx][order]))
+
+    n_max = sum(int(sizes[-1]) for sizes, _ in per_label)
+    kbin = np.array(binom_k_walk(n_max, rp))
 
     def fails(tau: float) -> bool:
         # dp[N] = worst (max) total error count over patterns of total size N;
         # -1 marks unreachable sizes.
         dp = np.full(n_max + 1, -1, dtype=np.int64)
         dp[0] = 0
-        for acc, sk in per_label:
+        for sizes, sk in per_label:
             errs = np.concatenate(([0], np.cumsum(sk < tau)))
             new_dp = np.full(n_max + 1, -1, dtype=np.int64)
-            for a in acc:
+            for a in sizes:
                 e = errs[a]
                 seg = dp[: n_max + 1 - a]
                 shifted = np.where(seg < 0, -1, seg + e)

@@ -18,7 +18,7 @@ from scipy import special
 
 from pacshift import RiskParams, binom_cdf, binom_k, cp_interval, delta_split
 
-from oracles import binom_cdf_oracle, binom_k_oracle
+from oracles import binom_cdf_oracle, binom_k_oracle, binom_k_walk
 
 
 def _scalar_cdf(k: int, m: int, eps: float) -> float:
@@ -206,6 +206,15 @@ class TestBinomK:
         # and F at the next k is above 0.5.
         rp = RiskParams(epsilon=0.5, delta=0.5)
         assert [binom_k_oracle(m, rp) for m in range(61)] == [(m - 1) // 2 for m in range(61)]
+
+    @pytest.mark.parametrize("eps, delta, n_max", [(0.5, 0.5, 61)] + [
+        (eps, delta, 400) for eps, delta in TABLE_LEVELS[:3]
+    ])
+    def test_oracle_walk_equals_scalar_oracle(self, eps, delta, n_max):
+        # The two exact oracles, one N at a time and walking over N.  At
+        # eps = delta = 0.5 every odd N is an exact tie.
+        rp = RiskParams(epsilon=eps, delta=delta)
+        assert binom_k_walk(n_max, rp) == [binom_k_oracle(n, rp) for n in range(n_max + 1)]
 
     def test_no_feasible_k(self):
         assert binom_k(10, RiskParams(epsilon=0.01, delta=1e-10)) == -1

@@ -289,6 +289,9 @@ class TestWeightBox:
     def test_rejects_nonpositive_upper(self):
         with pytest.raises(ValueError):
             WeightBox([-1.0, 0.1], [0.0, 1.0])
+        # An infinite b would reach PS-C as epsilon / b = 0.
+        with pytest.raises(ValueError, match="^weight upper bounds must be positive and finite$"):
+            WeightBox(np.zeros(2), [1.0, np.inf])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="lo must be <= hi"):

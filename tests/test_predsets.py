@@ -34,7 +34,7 @@ from pacshift import (
     wcp_threshold,
     weight_box,
 )
-from pacshift.predsets import ABORTED, CALIBRATED, FULL_SET, _per_label_acceptance
+from pacshift.predsets import ABORTED, CALIBRATED, FULL_SET
 
 from oracles import ps_oracle, psw_brute_force, psw_full_table
 
@@ -173,6 +173,16 @@ def k10_instance(rng):
     return ScoreTable(scores, labels), AcceptanceRandomness(v), WeightBox(lo, hi), rp
 
 
+def metamorphic_instance(kind, seed):
+    """``severe_instance(3000, seed)`` or ``k10_instance`` drawn at seed."""
+    if kind == "severe":
+        return severe_instance(3000, seed)
+    return k10_instance(np.random.default_rng(seed))
+
+
+METAMORPHIC = [("severe", 0), ("severe", 1), ("k10", 33), ("k10", 34)]
+
+
 class TestPsThreshold:
     def test_three_point_example(self):
         src = ScoreTable(
@@ -268,6 +278,13 @@ class TestRejectionSample:
         with pytest.raises(ValueError, match="must lie in"):
             AcceptanceRandomness(v=[0.5, np.nan])
 
+    @pytest.mark.parametrize("v", [[[0.1], [0.5], [0.9]], 0.5], ids=["n-by-1", "0-d"])
+    def test_uniforms_must_be_1d(self, v):
+        # A (3, 1) v passes a length check on 3 rows, then broadcasts the
+        # acceptance test to (3, 3) and accepts row indices 0-8.
+        with pytest.raises(ValueError, match=r"^acceptance uniforms must be 1-D, got shape"):
+            AcceptanceRandomness(v=v)
+
     @pytest.mark.parametrize("call", [
         lambda src, v, w, rp: rejection_sample(src, v, w, 1.0),
         lambda src, v, w, rp: psr_threshold(src, v, w, rp),
@@ -336,13 +353,18 @@ class TestPswThreshold:
 
     @pytest.mark.parametrize("case", ["empty-first-label", "first-label-one-prefix"])
     def test_first_label_kinds_give_label_0_one_prefix(self, case):
+        # Label 0's prefixes run from its count at the box's lower corner to its
+        # count at the upper one, so it has one prefix iff the two are equal.
         rng = np.random.default_rng(AWKWARD_PSW.index(case))
         with_rows = 0
         for _ in range(40):
             src, v, box, _ = awkward_instance(rng, case)
-            (acc, _), *_ = _per_label_acceptance(src, v, box)
-            assert len(acc) == 1
-            with_rows += int(acc[0]) > 0
+            n_lo, n_hi = (
+                np.count_nonzero(src.labels[rejection_sample(src, v, w, box.envelope_b)] == 0)
+                for w in (box.lo, box.hi)
+            )
+            assert n_lo == n_hi
+            with_rows += n_lo > 0
         # Only the width-0 kind's one prefix holds rows: in 23 of the 40.
         assert (with_rows > 0) == (case == "first-label-one-prefix")
 
@@ -391,6 +413,15 @@ class TestPswThreshold:
             tau = psw_threshold(src, v, box, rp).tau
             assert float(tau).hex() == float(psw_full_table(src, v, box, rp)).hex()
 
+    def test_full_table_oracle_matches_brute_force(self):
+        # Both oracles, with no library calculation in the loop, on the kinds
+        # the brute-force tests use.
+        rng = np.random.default_rng(35)
+        instances = [random_instance(rng, ties=ties) for ties in [False] * 60 + [True] * 60]
+        instances += [awkward_instance(rng, case) for case in AWKWARD_PSW for _ in range(20)]
+        for src, v, box, rp in instances:
+            assert psw_full_table(src, v, box, rp) == psw_brute_force(src, v, box, rp)
+
     @pytest.mark.parametrize("n, table, narrower", [
         (250, np.uint8, np.int8),
         (1000, np.uint16, np.uint8),
@@ -411,13 +442,10 @@ class TestPswThreshold:
         tau = psw_threshold(src, v, WeightBox(w, w), rp).tau
         assert float(tau).hex() == float(ref).hex()
 
-    @pytest.mark.parametrize("kind, seed", [("severe", 0), ("severe", 1), ("k10", 33), ("k10", 34)])
+    @pytest.mark.parametrize("kind, seed", METAMORPHIC)
     def test_label_order_leaves_tau_unchanged(self, kind, seed):
         # The DP's max-plus combination over labels must not depend on their order.
-        if kind == "severe":
-            src, v, box, rp = severe_instance(3000, seed)
-        else:
-            src, v, box, rp = k10_instance(np.random.default_rng(seed))
+        src, v, box, rp = metamorphic_instance(kind, seed)
         tau = psw_threshold(src, v, box, rp).tau
         assert math.isfinite(tau)
         rng = np.random.default_rng(seed)
@@ -446,6 +474,37 @@ class TestPswThreshold:
             w = rng.uniform(box.lo, box.hi)
             sample = src.subset(rejection_sample(src, v, w, box.envelope_b))
             assert tau <= ps_threshold(sample, rp).tau
+
+    @pytest.mark.parametrize("kind, seed", METAMORPHIC)
+    def test_box_inside_with_the_same_envelope_never_lowers_tau(self, kind, seed):
+        # The inner box's patterns are a subset of the outer box's at one b.
+        src, v, box, rp = metamorphic_instance(kind, seed)
+        tau = psw_threshold(src, v, box, rp).tau
+        assert math.isfinite(tau)
+        rng = np.random.default_rng(seed)
+        top = np.argmax(box.hi)
+        for _ in range(3):
+            lo = rng.uniform(box.lo, box.hi)
+            hi = rng.uniform(lo, box.hi)
+            hi[top] = box.hi[top]
+            inner = WeightBox(lo, hi)
+            assert inner.envelope_b == box.envelope_b
+            assert psw_threshold(src, v, inner, rp).tau >= tau
+
+    @pytest.mark.parametrize("g", [np.sqrt, lambda x: x + 0.5], ids=["sqrt", "plus-half"])
+    @pytest.mark.parametrize("kind, seed", METAMORPHIC)
+    def test_increasing_transform_maps_tau(self, kind, seed, g):
+        # Correctly rounded, g never reverses two scores, but it could tie two
+        # close ones; the first assertion rules that out.
+        src, v, box, rp = metamorphic_instance(kind, seed)
+        tau = psw_threshold(src, v, box, rp).tau
+        assert math.isfinite(tau)
+        g_src = ScoreTable(g(src.scores), src.labels)
+        s, gs = src.true_scores(), g_src.true_scores()
+        order = np.argsort(s, kind="stable")
+        assert np.all(np.diff(gs[order])[np.diff(s[order]) > 0] > 0)
+        g_tau = gs[s == tau][0]
+        assert float(psw_threshold(g_src, v, box, rp).tau).hex() == float(g_tau).hex()
 
     def test_never_above_exact_weight_oracle(self):
         rng = np.random.default_rng(26)
