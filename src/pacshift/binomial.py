@@ -25,20 +25,29 @@ class RiskParams:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        _check_probability("epsilon", self.epsilon)
+        _check_probability("delta", self.delta)
+
+
+def _check_probability(name: str, x) -> None:
+    """Raise ValueError unless x, a budget such as epsilon or delta, is in (0, 1); NaN is not."""
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {x}")
+
+
+def _integer(x) -> bool:
+    """Whether x is a scalar count, size or index: a Python or NumPy integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _integers(x) -> np.ndarray:
-    """Mask of the entries of x that are finite integers (NaN and +-inf are not)."""
+    """Mask of the entries of x whose values are finite integers, 3.0 too; NaN and +-inf are not."""
     return np.isfinite(x) & (x == np.floor(x))
 
 
 def _check_label_count(K) -> None:
     """Raise ValueError unless K, a number of labels, is an integer >= 2."""
-    if not (isinstance(K, numbers.Integral) and K >= 2):
+    if not (_integer(K) and K >= 2):
         raise ValueError(f"K must be an integer >= 2, got {K!r}")
 
 
@@ -108,6 +117,4 @@ def cp_interval(successes, trials, level) -> Interval:
         raise ValueError("level must be in (0, 1)")
     lo = np.fmax(special.betaincinv(x, n - x + 1, level / 2), 0.0)
     hi = np.fmin(special.betaincinv(x + 1, n - x, 1.0 - level / 2), 1.0)
-    if not np.all((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)):
-        raise ValueError("interval bounds out of order")
     return Interval(lo, hi)

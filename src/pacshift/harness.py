@@ -10,12 +10,11 @@ are independent of execution order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binomial import RiskParams
+from .binomial import RiskParams, _integer
 from .predsets import (
     AcceptanceRandomness,
     ThresholdResult,
@@ -70,7 +69,7 @@ def run_trials(
 ) -> list[TrialReport]:
     """Run `trials` paired repetitions of each requested method, once each in first-seen order."""
     methods = list(dict.fromkeys(methods))
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+    if not (_integer(trials) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if 0 in (spec.m, spec.n, spec.o):
         raise ValueError("sample sizes m, n and o must be >= 1")

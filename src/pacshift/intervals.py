@@ -55,6 +55,8 @@ class WeightBox(Interval):
         super().__post_init__()
         if not np.all((self.hi > 0) & (self.hi < np.inf)):
             raise ValueError("weight upper bounds must be positive and finite")
+        if not np.all(self.lo > -np.inf):
+            raise ValueError("weight lower bounds must be finite")
 
     @property
     def envelope_b(self) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binomial import RiskParams, binom_k
+from .binomial import RiskParams, _check_probability, binom_k
 from .intervals import Aborted, WeightBox
 from .tables import ScoreTable
 
@@ -121,7 +121,7 @@ def rejection_sample(
     w = _weight_vector(w, src.k)
     if not 0 < b < math.inf:
         raise ValueError(f"envelope b must be finite and positive, got {b}")
-    if np.any(w > b * (1 + 1e-12)):
+    if np.any(w > b):
         raise ValueError("weights must not exceed the envelope b")
     if len(v.v) != src.n:
         raise ValueError("need one uniform per source row")
@@ -162,8 +162,7 @@ def psw_threshold(
 
     # Sizes run from n_lo (the lower corner's) to n_max.  At the least candidate no
     # pattern errs and k(N) is nondecreasing, so every tau fails (full set) iff k(n_lo) < 0.
-    n_lo = sum(int(acc[0]) for acc, _ in per_label)
-    n_max = sum(int(acc[-1]) for acc, _ in per_label)
+    n_lo, n_max = int(a_min.sum()), int(a_max.sum())
     kbin = binom_k(np.arange(n_lo, n_max + 1), rp)
     if kbin[0] < 0:
         return ThresholdResult(-math.inf)
@@ -215,8 +214,7 @@ def psr_threshold(
 
 def wcp_threshold(src: ScoreTable, pointw: np.ndarray, eps: float) -> ThresholdResult:
     """Weighted empirical quantile: largest tau with weighted error mass <= eps."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0, 1)")
+    _check_probability("eps", eps)
     u = _weight_vector(pointw, src.k)[src.labels]
     total = u.sum()
     if total <= 0:

@@ -10,12 +10,11 @@ of the two label distributions.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binomial import _check_label_count
+from .binomial import _check_label_count, _integer
 from .tables import ScoreTable
 
 _SIMPLEX_TOL = 1e-12
@@ -34,8 +33,8 @@ class ShiftSpec:
     """Source/target label distributions and the three sample sizes.
 
     m: labeled source rows, n: unlabeled target rows, o: labeled target
-    test rows, each a nonnegative integer (Python or NumPy).  Every label
-    with target mass must have source mass.
+    test rows, each a nonnegative integer (Python or NumPy, not a bool).
+    Every label with target mass must have source mass.
     """
 
     source_dist: np.ndarray
@@ -54,7 +53,7 @@ class ShiftSpec:
         if np.any((self.target_dist > 0) & (self.source_dist == 0)):
             raise ValueError("target support must be contained in source support")
         for name, size in {"m": self.m, "n": self.n, "o": self.o}.items():
-            if not (isinstance(size, numbers.Integral) and size >= 0):
+            if not (_integer(size) and size >= 0):
                 raise ValueError(f"sample size {name} must be a nonnegative integer, got {size!r}")
 
     @property
@@ -124,7 +123,7 @@ class SyntheticModel:
 def tweak_one(K: int, rho: float, tweaked: int = 0) -> np.ndarray:
     """Distribution giving rho to one label and (1-rho)/(K-1) to each other."""
     _check_label_count(K)
-    if not (isinstance(tweaked, numbers.Integral) and 0 <= tweaked < K):
+    if not (_integer(tweaked) and 0 <= tweaked < K):
         raise ValueError(f"tweaked must be an integer in [0, K), got {tweaked!r}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must be in [0, 1]")

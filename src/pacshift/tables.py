@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binomial import _integers
+
 
 @dataclass
 class ScoreTable:
@@ -37,10 +39,10 @@ class ScoreTable:
             labels = np.asarray(self.labels)
             if labels.shape != (self.n,):
                 raise ValueError("labels must be a vector matching the row count")
-            if not np.array_equal(labels, np.floor(labels)):
-                raise ValueError("labels must be integers")
-            if self.n > 0 and (labels.min() < 0 or labels.max() >= self.k):
+            if np.any((labels < 0) | (labels >= self.k)):
                 raise ValueError("labels out of range")
+            if not np.all(_integers(labels)):
+                raise ValueError("labels must be integers")
             self.labels = np.asarray(labels, dtype=np.min_scalar_type(-self.k))
             # A NaN or infinite true-label score would count as covered.
             if not np.isfinite(self.true_scores()).all():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .binomial import _check_label_count, _integers, cp_interval
+from .binomial import _check_label_count, _check_probability, _integers, cp_interval
 from .intervals import Aborted, Interval, WeightBox, interval_gauss_elim
 from .tables import ScoreTable
 
@@ -61,8 +61,7 @@ def delta_split(K: int, delta: float) -> tuple[float, float]:
     if it is too small for the calibration level and each interval's level
     to be positive.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _check_probability("delta", delta)
     parts = _n_intervals(K) + 1
     calib = delta / parts
     box_budget = delta - calib
@@ -84,8 +83,7 @@ def cp_bounds(
     Each of the K^2 confusion entries and K frequency entries gets level
     interval_level(K, delta_total); joint validity follows by a union bound.
     """
-    if not 0.0 < delta_total < 1.0:
-        raise ValueError("delta_total must be in (0, 1)")
+    _check_probability("delta_total", delta_total)
     conf, qh = _check_counts(conf, qh)
     per_entry = interval_level(qh.size, delta_total)
     return cp_interval(conf, conf.sum(), per_entry), cp_interval(qh, qh.sum(), per_entry)

@@ -71,7 +71,7 @@ class TestRunTrials:
             run_trials(spec, model, ["PS-X"], rp, trials=1, seed=0)
         with pytest.raises(ValueError):
             run_trials(spec, model, ["PS"], rp, trials=0, seed=0)
-        for trials in (2.5, 2.0, math.nan, math.inf):
+        for trials in (2.5, 2.0, math.nan, math.inf, True):
             with pytest.raises(ValueError, match="trials must be an integer >= 1"):
                 run_trials(spec, model, ["PS"], rp, trials=trials, seed=0)
 

@@ -293,6 +293,11 @@ class TestWeightBox:
         with pytest.raises(ValueError, match="^weight upper bounds must be positive and finite$"):
             WeightBox(np.zeros(2), [1.0, np.inf])
 
+    def test_rejects_infinite_lower(self):
+        # PS-C would calibrate on such a box, and PS-W's sampler reject it as an infinite weight.
+        with pytest.raises(ValueError, match="^weight lower bounds must be finite$"):
+            WeightBox([-np.inf, 0.2], [1.0, 1.0])
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="lo must be <= hi"):
             WeightBox([0.0, np.nan], [1.0, np.nan])

@@ -256,6 +256,14 @@ class TestRejectionSample:
         with pytest.raises(ValueError, match="need one uniform per source row"):
             rejection_sample(src, AcceptanceRandomness(v.v[:-1]), np.array([0.5, 0.5]), 1.0)
 
+    def test_envelope_check_is_exact(self):
+        rng = np.random.default_rng(23)
+        src, v, _, _ = random_instance(rng, m=10)
+        b = 0.7
+        assert len(rejection_sample(src, v, np.array([b, b]), b)) == src.n
+        with pytest.raises(ValueError, match="must not exceed the envelope b"):
+            rejection_sample(src, v, np.array([0.5, np.nextafter(b, np.inf)]), b)
+
     @pytest.mark.parametrize("w", [[1.0], [0.5, 0.5, 0.1]])
     def test_weights_need_one_entry_per_label(self, w):
         rng = np.random.default_rng(23)
@@ -631,7 +639,7 @@ class TestWcpThreshold:
     def test_eps_outside_the_open_unit_interval_rejected(self, eps):
         rng = np.random.default_rng(36)
         src, _, _, _ = random_instance(rng, m=60)
-        with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
+        with pytest.raises(ValueError, match=rf"^eps must be in \(0, 1\), got {eps}$"):
             wcp_threshold(src, np.array([1.0, 1.0]), eps)
 
     @pytest.mark.parametrize("w", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])

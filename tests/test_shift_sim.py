@@ -64,7 +64,8 @@ class TestTweakOne:
         with pytest.raises(ValueError, match="K must be an integer >= 2"):
             tweak_one(k, 0.5)
 
-    @pytest.mark.parametrize("tweaked", [-1, 3, 5, 1.5, 1.0])
+    # A bool is an Integral, but tweak_one(3, 0.5, True) would read as label 1.
+    @pytest.mark.parametrize("tweaked", [-1, 3, 5, 1.5, 1.0, True, False])
     def test_tweaked_outside_the_labels_raises(self, tweaked):
         with pytest.raises(ValueError, match=r"tweaked must be an integer in \[0, K\)"):
             tweak_one(3, 0.5, tweaked)
@@ -114,8 +115,8 @@ class TestShiftSpec:
     def test_rejects_negative_sizes(self):
         with pytest.raises(ValueError):
             ShiftSpec([0.5, 0.5], [0.5, 0.5], -1, 10, 10)
-        # A size is a count: NaN, inf, fractions and floats such as 1e3 are rejected too.
-        for bad in (np.nan, np.inf, 10.5, 1e3, 10.0):
+        # A size is a count: NaN, inf, fractions, floats such as 1e3 and bools are rejected too.
+        for bad in (np.nan, np.inf, 10.5, 1e3, 10.0, True, False):
             for sizes in ((bad, 10, 10), (10, bad, 10), (10, 10, bad)):
                 with pytest.raises(ValueError, match="must be a nonnegative integer"):
                     ShiftSpec([0.5, 0.5], [0.5, 0.5], *sizes)

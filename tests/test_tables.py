@@ -65,6 +65,12 @@ def test_out_of_range_labels_rejected_before_the_cast(bad):
         table([[0.5, 0.5], [0.2, 0.8]], labels=[bad, 0])
 
 
+@pytest.mark.parametrize("labels", [[np.inf, 0.5], [np.nan, -1.0]])
+def test_range_is_checked_before_integrality(labels):
+    with pytest.raises(ValueError, match="labels out of range"):
+        table([[0.5, 0.5], [0.2, 0.8]], labels=labels)
+
+
 def test_predicted_skips_nan_scores():
     # The argmax over each row's non-NaN scores, ties to the lowest index.
     t = table([[0.3, np.nan, 0.7], [np.nan, np.nan, 0.5], [0.2, 0.2, np.nan]])

@@ -176,7 +176,8 @@ class TestCpBounds:
 
     @pytest.mark.parametrize("delta_total", [0.0, 1.0])
     def test_delta_total_outside_the_open_unit_interval_raises(self, delta_total):
-        with pytest.raises(ValueError, match=r"delta_total must be in \(0, 1\)"):
+        message = rf"^delta_total must be in \(0, 1\), got {delta_total}$"
+        with pytest.raises(ValueError, match=message):
             cp_bounds(np.full((2, 2), 10), np.array([10, 10]), delta_total)
 
     def test_negative_counts_raise(self):
