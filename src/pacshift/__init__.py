@@ -7,7 +7,7 @@ propagating those intervals through Gaussian elimination to box the
 importance weights, and calibrating a worst-case threshold over that box.
 """
 
-from .binomial import RiskParams, binom_cdf, binom_k, cp_interval
+from .binomial import RiskParams, binom_cdf, binom_k, binom_k_range, cp_interval
 from .intervals import Aborted, Interval, WeightBox, interval_gauss_elim
 from .predsets import (
     AcceptanceRandomness,

@@ -30,7 +30,12 @@ class RiskParams:
 
 
 def _check_probability(name: str, x) -> None:
-    """Raise ValueError unless x, a budget such as epsilon or delta, is in (0, 1); NaN is not."""
+    """Raise ValueError unless x, a budget such as epsilon or delta, is a real scalar in (0, 1).
+
+    A Python or NumPy real number passes; a bool, an array, a string and NaN do not.
+    """
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
     if not 0.0 < x < 1.0:
         raise ValueError(f"{name} must be in (0, 1), got {x}")
 
@@ -93,6 +98,35 @@ def binom_k(m, rp: RiskParams):
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)
     return lo
+
+
+def binom_k_range(n_lo: int, n_max: int, rp: RiskParams) -> np.ndarray:
+    """``binom_k`` at every size N = n_lo, ..., n_max, inverted over error counts.
+
+    k(N) >= E iff F(E; N) <= delta, and F(E; N) does not increase with N, so
+    k is nondecreasing and each count E in (k(n_lo), k(n_max)] first becomes
+    admissible at N*(E) = min{N : F(E; N) <= delta}.  Then k(N) is k(n_lo)
+    plus the number of those E with N*(E) <= N.  One lockstep bisection over
+    N finds every N*(E) in (max(n_lo, E), n_max]: F(E; n_lo) > delta as
+    E > k(n_lo), F(E; E) = 1 > delta, and F(E; n_max) <= delta as E <= k(n_max).
+    That is about epsilon * (n_max - n_lo) searches instead of one per size.
+    In floating point the result equals ``binom_k`` entry for entry as long as
+    ``F <= delta`` flips once along k and once along N; the tests and
+    ``tests/sweep_k_table.py`` check that it does.
+    """
+    if not (_integer(n_lo) and _integer(n_max) and 0 <= n_lo <= n_max):
+        raise ValueError(f"need integers 0 <= n_lo <= n_max, got {n_lo!r}, {n_max!r}")
+    k_lo, k_hi = int(binom_k(n_lo, rp)), int(binom_k(n_max, rp))
+    e = np.arange(k_lo + 1, k_hi + 1)
+    # Invariant: F(e; lo) > delta and F(e; hi) <= delta.
+    lo = np.maximum(e, n_lo)
+    hi = np.full(e.shape, n_max)
+    while (active := hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        ok = binom_cdf(e, mid, rp.epsilon) <= rp.delta
+        hi = np.where(active & ok, mid, hi)
+        lo = np.where(active & ~ok, mid, lo)
+    return k_lo + np.searchsorted(hi, np.arange(n_lo, n_max + 1), side="right")
 
 
 def cp_interval(successes, trials, level) -> Interval:

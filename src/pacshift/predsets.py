@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binomial import RiskParams, _check_probability, binom_k
+from .binomial import RiskParams, _check_probability, binom_k, binom_k_range
 from .intervals import Aborted, WeightBox
 from .tables import ScoreTable
 
@@ -163,9 +163,9 @@ def psw_threshold(
     # Sizes run from n_lo (the lower corner's) to n_max.  At the least candidate no
     # pattern errs and k(N) is nondecreasing, so every tau fails (full set) iff k(n_lo) < 0.
     n_lo, n_max = int(a_min.sum()), int(a_max.sum())
-    kbin = binom_k(np.arange(n_lo, n_max + 1), rp)
-    if kbin[0] < 0:
+    if binom_k(n_lo, rp) < 0:
         return ThresholdResult(-math.inf)
+    kbin = binom_k_range(n_lo, n_max, rp)
     dp_dtype = np.min_scalar_type(n_max)
 
     def fails(tau: float) -> bool:

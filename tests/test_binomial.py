@@ -5,7 +5,8 @@ mpmath CDF and the exact integer tail inversion of ``tests/oracles.py``, and
 bisection against that CDF (or, at levels too small for float quantiles,
 the mpmath incomplete beta) for Clopper-Pearson.
 The array forms of cp_interval and binom_k must also equal, bit for bit,
-the per-entry scalar computations they replaced.
+the per-entry scalar computations they replaced, and binom_k_range must
+equal binom_k over every size of its range.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from pacshift import RiskParams, binom_cdf, binom_k, cp_interval, delta_split
+from pacshift import RiskParams, binom_cdf, binom_k, binom_k_range, cp_interval, delta_split
 
 from oracles import binom_cdf_oracle, binom_k_oracle, binom_k_walk
 
@@ -274,23 +275,68 @@ class TestBinomK:
         table = binom_k(np.arange(20_001), rp)
         reference = [binom_k_scalar_reference(n, rp) for n in range(20_001)]
         np.testing.assert_array_equal(table, reference)
+        np.testing.assert_array_equal(binom_k_range(0, 20_000, rp), reference)
+        # Ranges that start and end anywhere, k(n_lo) = -1 or not.
+        rng = np.random.default_rng(round(1e6 * eps))
+        for n_lo, n_max in np.sort(rng.integers(0, 20_001, size=(20, 2)), axis=1).tolist():
+            np.testing.assert_array_equal(
+                binom_k_range(n_lo, n_max, rp), reference[n_lo : n_max + 1]
+            )
 
     @pytest.mark.parametrize("eps, delta", TABLE_LEVELS)
     def test_table_steps_by_0_or_1_to_1e5(self, eps, delta):
         # One more sample raises the admissible error count by at most one;
-        # an error-indexed PS-W would rely on this.
-        k = binom_k(np.arange(100_001), RiskParams(epsilon=eps, delta=delta))
+        # binom_k_range and an error-indexed PS-W rely on this.
+        rp = RiskParams(epsilon=eps, delta=delta)
+        k = binom_k(np.arange(100_001), rp)
         assert np.isin(np.diff(k), [0, 1]).all()
+        np.testing.assert_array_equal(binom_k_range(0, 100_000, rp), k)
 
     def test_sandwich_on_table_to_1e5(self):
         rp = RiskParams(epsilon=0.1, delta=5e-4 / 13)
         m = np.arange(100_001)
-        k = binom_k(m, rp)
+        k = binom_k_range(0, 100_000, rp)
+        np.testing.assert_array_equal(k, binom_k(m, rp))
         none = k < 0
         assert np.all(binom_cdf(0, m[none], rp.epsilon) > rp.delta)
         assert np.all(binom_cdf(k[~none], m[~none], rp.epsilon) <= rp.delta)
         below_m = k < m
         assert np.all(binom_cdf(k[below_m] + 1, m[below_m], rp.epsilon) > rp.delta)
+
+    @pytest.mark.parametrize("eps, delta, n_lo, n_max", [
+        (0.1, 5e-4 / 13, 5000, 5000),  # one size
+        (0.1, 5e-4 / 13, 0, 0),  # one size, k = -1
+        (0.1, 5e-4 / 13, 0, 400),  # from 0
+        (0.1, 5e-4 / 13, 96, 97),  # k(n_lo) = -1, k(n_max) = 0: N0 = 97 at K = 3
+        (0.1, 5e-4 / 13, 96, 3000),  # k(n_lo) = -1, k(n_max) >= 0
+        (0.1, 5e-4 / 13, 10, 96),  # k = -1 throughout
+        (0.1, 5e-4 / 13, 1000, 1011),  # k(n_lo) = k(n_max) = 64, one size below a step
+        (0.5, 0.5, 0, 61),  # every odd N an exact tie
+        (0.5, 0.5, 35, 35),
+        (0.5, 0.5, 34, 40),  # binom_k is one below the exact k at 35 and 39
+    ])
+    def test_range_edges_equal_binom_k(self, eps, delta, n_lo, n_max):
+        rp = RiskParams(epsilon=eps, delta=delta)
+        table = binom_k_range(n_lo, n_max, rp)
+        np.testing.assert_array_equal(table, binom_k(np.arange(n_lo, n_max + 1), rp))
+        assert table.shape == (n_max - n_lo + 1,)
+
+    def test_range_edge_cases_are_the_named_ones(self):
+        rp = RiskParams(epsilon=0.1, delta=5e-4 / 13)
+        assert (binom_k(96, rp), binom_k(97, rp)) == (-1, 0)
+        assert binom_k(1000, rp) == binom_k(1011, rp) == binom_k(1012, rp) - 1 == 64
+        # At the ties eps = delta = 0.5, m = 35 and 39, betainc rounds F above 0.5:
+        # the range follows binom_k there, not the exact oracle.
+        half = RiskParams(epsilon=0.5, delta=0.5)
+        for m in (35, 39):
+            assert binom_k(m, half) == binom_k_oracle(m, half) - 1
+            assert binom_k_range(34, 40, half)[m - 34] == binom_k(m, half)
+
+    @pytest.mark.parametrize("n_lo, n_max", [(-1, 5), (6, 5), (2.0, 5), (0, 5.0), (True, 5),
+                                             (0, np.array([5]))])
+    def test_range_needs_integers_in_order(self, n_lo, n_max):
+        with pytest.raises(ValueError, match="need integers 0 <= n_lo <= n_max"):
+            binom_k_range(n_lo, n_max, RiskParams(epsilon=0.1, delta=0.1))
 
 
 class TestCpInterval:
@@ -396,3 +442,17 @@ class TestRiskParams:
             RiskParams(epsilon=0.0, delta=0.1)
         with pytest.raises(ValueError):
             RiskParams(epsilon=0.1, delta=1.0)
+
+    @pytest.mark.parametrize("bad", [np.array([0.5]), np.array([0.5, 0.5]), np.array(0.5),
+                                     "0.5", True, np.True_, None])
+    def test_budget_must_be_a_real_scalar(self, bad):
+        # Unchecked, a 1-element array was stored as epsilon, a 2-element one
+        # raised NumPy's "truth value ... is ambiguous" and a string a TypeError.
+        with pytest.raises(ValueError, match="epsilon must be a real number, got"):
+            RiskParams(epsilon=bad, delta=0.1)
+        with pytest.raises(ValueError, match="delta must be a real number, got"):
+            RiskParams(epsilon=0.1, delta=bad)
+
+    @pytest.mark.parametrize("ok", [0.25, np.float64(0.25), np.float32(0.25), np.float16(0.25)])
+    def test_python_and_numpy_real_scalars_pass(self, ok):
+        assert RiskParams(epsilon=ok, delta=ok).epsilon == 0.25

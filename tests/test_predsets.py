@@ -34,6 +34,7 @@ from pacshift import (
     wcp_threshold,
     weight_box,
 )
+from pacshift import predsets
 from pacshift.predsets import ABORTED, CALIBRATED, FULL_SET
 
 from oracles import ps_oracle, psw_brute_force, psw_full_table
@@ -386,6 +387,26 @@ class TestPswThreshold:
             assert n_lo in (2, 3) and full == (n_lo == 2)
             seen.add(n_lo)
         assert seen == {2, 3}
+
+    def test_full_set_builds_no_k_table(self, monkeypatch):
+        # A lower corner with fewer than N0 rows decides the full set from k(n_lo)
+        # alone, before any k(N) table over [n_lo, n_max] is built.
+        def no_table(*args):
+            raise AssertionError("a full set must not build the k(N) table")
+
+        monkeypatch.setattr(predsets, "binom_k_range", no_table)
+        rng = np.random.default_rng(AWKWARD_PSW.index("lower-corner-at-N0"))
+        full = 0
+        for _ in range(40):
+            src, v, box, rp = awkward_instance(rng, "lower-corner-at-N0")
+            if len(rejection_sample(src, v, box.lo, box.envelope_b)) == 2:
+                assert psw_threshold(src, v, box, rp).tau == -math.inf
+                full += 1
+        assert full > 0
+        # K = 3 and m = 20000 with the box [0, 1]^3: n_lo = 0 and n_max = m.
+        src, v, _, _ = severe_instance(20_000, 0)
+        box = WeightBox(np.zeros(3), np.ones(3))
+        assert psw_threshold(src, v, box, RiskParams(0.1, 1e-3)).tau == -math.inf
 
     def test_full_set_iff_lower_corner_has_no_threshold(self):
         # The smallest pattern, the lower corner's, decides the full set alone.

@@ -1,9 +1,11 @@
 """The benchmark tracer's wrapping table must name functions that exist.
 
 ``perfbench/tracing.py`` rebinds the module attributes listed in its
-``SPANNED`` and ``COUNTED`` tables; ``perfbench/run.py`` reads the PS-W
-``kbin`` table time from spans named ``binomial.binom_k`` under
-``predsets.psw_threshold``.  Renaming or removing any of these functions
+``SPANNED`` and ``COUNTED`` tables; ``perfbench/run.py`` reads its
+``binomial.kbin_s`` metric from spans named ``binomial.binom_k`` under
+``predsets.psw_threshold``.  Those are PS-W's scalar full-set test only:
+the k(N) table comes from ``binom_k_range``, which is not spanned, so its
+time counts in ``predsets.psw_s``.  Renaming or removing any of these functions
 breaks traced benchmark runs, so the contract is checked here.  The
 tracer is loaded from its file, not imported as a package.
 """
