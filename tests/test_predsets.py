@@ -73,7 +73,7 @@ def planted_boundary_instance(rng):
 
 AWKWARD_PSW = ["empty-label", "all-tied-v", "m=1", "k=2", "delta-near-0", "delta-near-1",
                "high-lower-corners", "lower-corner-at-N0", "empty-first-label",
-               "first-label-one-prefix"]
+               "first-label-one-prefix", "last-label-one-prefix", "empty-middle-label"]
 
 
 def awkward_instance(rng, case):
@@ -89,7 +89,12 @@ def awkward_instance(rng, case):
     so the lower corner accepts just the 2 or 3 rows placed at v = 0.  Two
     kinds shape label 0, the first one PS-W's DP adds: with an empty first
     label no row has it (``empty-label`` empties the last label), and with
-    one first-label prefix its box has width 0 at a positive weight.
+    one first-label prefix its box has width 0 at a positive weight.  Two
+    more shape the edges of the DP's window, which grows by each label's
+    longest offset: one last-label prefix (width 0 at a positive weight on
+    label K - 1) gives the last label a one-entry window, and with an empty
+    middle label (K = 3) no row has label 1, so it adds no offset between
+    two labels that do.
     """
     k = 2 if case == "k=2" else 3
     if case == "m=1":
@@ -98,6 +103,8 @@ def awkward_instance(rng, case):
         m = int(rng.integers(12, 21) if case == "delta-near-0" else rng.integers(4, 11))
     low = 1 if case == "empty-first-label" else 0
     labels = rng.integers(low, k - 1 if case == "empty-label" else k, size=m)
+    if case == "empty-middle-label":
+        labels[labels == 1] = 2 * rng.integers(0, 2, size=np.count_nonzero(labels == 1))
     scores = rng.dirichlet(np.ones(k), size=m)
     v = rng.integers(0, 5, size=m) / 4
     if case == "all-tied-v":
@@ -126,6 +133,8 @@ def awkward_instance(rng, case):
         epsilon, delta = 0.5, 0.2
     elif case == "first-label-one-prefix":
         lo[0] = hi[0] = rng.uniform(0.1, 1.0)
+    elif case == "last-label-one-prefix":
+        lo[-1] = hi[-1] = rng.uniform(0.1, 1.0)
     src = ScoreTable(scores=scores, labels=labels)
     return src, AcceptanceRandomness(v=v), WeightBox(lo, hi), RiskParams(epsilon, delta)
 
@@ -308,6 +317,25 @@ class TestRejectionSample:
             call(src, v, np.array([1.0, 0.5, 0.2]), RiskParams(0.1, 0.1))
 
 
+def one_prefix_instances_with_rows(case, label):
+    """Of 40 awkward instances of a kind, how many give ``label`` rows; each must give it one prefix.
+
+    A label's prefixes run from its count at the box's lower corner to its
+    count at the upper one, so it has one prefix iff the two are equal.
+    """
+    rng = np.random.default_rng(AWKWARD_PSW.index(case))
+    with_rows = 0
+    for _ in range(40):
+        src, v, box, _ = awkward_instance(rng, case)
+        n_lo, n_hi = (
+            np.count_nonzero(src.labels[rejection_sample(src, v, w, box.envelope_b)] == label)
+            for w in (box.lo, box.hi)
+        )
+        assert n_lo == n_hi
+        with_rows += n_lo > 0
+    return with_rows
+
+
 class TestPswThreshold:
     def test_singleton_box_equals_rejection_plus_ps(self):
         rng = np.random.default_rng(24)
@@ -362,20 +390,15 @@ class TestPswThreshold:
 
     @pytest.mark.parametrize("case", ["empty-first-label", "first-label-one-prefix"])
     def test_first_label_kinds_give_label_0_one_prefix(self, case):
-        # Label 0's prefixes run from its count at the box's lower corner to its
-        # count at the upper one, so it has one prefix iff the two are equal.
-        rng = np.random.default_rng(AWKWARD_PSW.index(case))
-        with_rows = 0
-        for _ in range(40):
-            src, v, box, _ = awkward_instance(rng, case)
-            n_lo, n_hi = (
-                np.count_nonzero(src.labels[rejection_sample(src, v, w, box.envelope_b)] == 0)
-                for w in (box.lo, box.hi)
-            )
-            assert n_lo == n_hi
-            with_rows += n_lo > 0
+        with_rows = one_prefix_instances_with_rows(case, 0)
         # Only the width-0 kind's one prefix holds rows: in 23 of the 40.
         assert (with_rows > 0) == (case == "first-label-one-prefix")
+
+    @pytest.mark.parametrize("case, label, has_rows", [("last-label-one-prefix", 2, True),
+                                                       ("empty-middle-label", 1, False)])
+    def test_window_edge_kinds_give_their_label_one_prefix(self, case, label, has_rows):
+        # The last label's one prefix holds rows in 26 of the 40; label 1 never has any.
+        assert (one_prefix_instances_with_rows(case, label) > 0) == has_rows
 
     def test_lower_corner_at_n0_decides_the_full_set(self):
         rng = np.random.default_rng(AWKWARD_PSW.index("lower-corner-at-N0"))
