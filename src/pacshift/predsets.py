@@ -142,9 +142,11 @@ def psw_threshold(
     rows with v at most the v of a row between them.  A DP over labels gives
     the most errors made with at most each total accepted count, and a
     bisection over the (monotone) candidate grid finds the first failing
-    tau, whose predecessor is the answer.  The DP's table grows label by
-    label over the sizes the labels so far reach, and a prefix max after each
-    label makes it the at-most table.
+    tau, whose predecessor is the answer.  The first label's table is its
+    error counts at their offsets past its shortest prefix, plus one prefix
+    max: it meets the one-entry table [0], so that is the DP step exactly.
+    Each later label writes over a window of the sizes the labels so far
+    reach, and a prefix max after it makes the at-most table again.
     """
     if isinstance(box, Aborted):
         return ThresholdResult(math.nan)
@@ -173,24 +175,32 @@ def psw_threshold(
     def fails(tau: float) -> bool:
         # dp[i] = most errors any pattern of the labels so far makes with at most
         # (their shortest prefixes' rows) + i rows; it grows label by label over the
-        # sizes they reach.  Each offset o = prefix - shortest writes dp + e over its
-        # window [o, o + len(dp)) only, and the prefix max makes the at-most table
-        # again: every term dp[j] + e lands at j + o, and past the window o's term is
-        # the constant dp[-1] + e, carried forward from o + len(dp) - 1.  (One prefix
-        # max after the last label is an equal form.)  The last table has kbin's
+        # sizes they reach.  The first label meets the one-entry table [0], so its
+        # offset o = prefix - shortest writes just its error count e at o: the offsets
+        # rise strictly from 0, so one scatter places them all and the prefix max
+        # fills the gaps.  Each later label's o writes dp + e over its window
+        # [o, o + len(dp)) only, and the prefix max makes the at-most table again:
+        # every term dp[j] + e lands at j + o, and past the window o's term is the
+        # constant dp[-1] + e, carried forward from o + len(dp) - 1.  (One prefix max
+        # after the last label is an equal form.)  The last table has kbin's
         # n_max - n_lo + 1 sizes.  As k(N) is nondecreasing, some pattern errs more
         # than k(N) at its own size N iff dp exceeds kbin somewhere.  Each entry, and
         # each dp + e, is one pattern's error count, so it lies in [0, n_max]: the
-        # least unsigned type holding n_max holds them all, and an array plus an
-        # in-range int keeps the array's type.  A narrower type would wrap without
-        # an error.
-        dp = np.zeros(1, dtype=dp_dtype)
+        # least unsigned type holding n_max holds them all, and both the scatter's
+        # cast and an array plus an in-range int keep the values.  A narrower type
+        # would wrap without an error.
+        dp = None
         for acc, sk in per_label:
             errs = np.concatenate(([0], np.cumsum(sk < tau)))[acc]
-            offs, r = acc - acc[0], len(dp)
-            new_dp = np.zeros(r + offs[-1], dtype=dp_dtype)
-            for o, e in zip(offs.tolist(), errs.tolist()):
-                np.maximum(new_dp[o : o + r], dp + e, out=new_dp[o : o + r])
+            offs = acc - acc[0]
+            if dp is None:
+                new_dp = np.zeros(offs[-1] + 1, dtype=dp_dtype)
+                new_dp[offs] = errs
+            else:
+                r = len(dp)
+                new_dp = np.zeros(r + offs[-1], dtype=dp_dtype)
+                for o, e in zip(offs.tolist(), errs.tolist()):
+                    np.maximum(new_dp[o : o + r], dp + e, out=new_dp[o : o + r])
             dp = np.maximum.accumulate(new_dp)
         return bool(np.any(dp > kbin))
 

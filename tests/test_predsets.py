@@ -481,16 +481,19 @@ class TestPswThreshold:
     ], ids=["uint8", "uint16", "uint32"])
     def test_error_counts_past_a_narrower_table_keep_tau_exact(self, n, table, narrower):
         # A zero-width box has one pattern, its rejection sample, so n_max is its
-        # size.  Its error count at tau passes the next narrower type, in which
-        # the DP's sums would wrap, some without an error.
+        # size.  Label 0's error count at tau alone passes the next narrower type,
+        # in which the first label's scatter and the DP's sums would wrap, some
+        # without an error.
         rng = np.random.default_rng(30)
         w, rp = np.array([1.0, 0.9]), RiskParams(0.9, 0.01)
-        src = ScoreTable(rng.dirichlet(np.ones(2), size=n), rng.integers(0, 2, size=n))
+        labels = rng.choice(2, size=n, p=[0.8, 0.2])
+        src = ScoreTable(rng.dirichlet(np.ones(2), size=n), labels)
         v = AcceptanceRandomness.draw(n, 31)
         sample = src.subset(rejection_sample(src, v, w, w.max()))
         ref = ps_threshold(sample, rp).tau
         assert np.min_scalar_type(sample.n) == table
-        assert np.count_nonzero(sample.true_scores() < ref) > np.iinfo(narrower).max
+        label0_errs = np.count_nonzero((sample.true_scores() < ref) & (sample.labels == 0))
+        assert label0_errs > np.iinfo(narrower).max
         tau = psw_threshold(src, v, WeightBox(w, w), rp).tau
         assert float(tau).hex() == float(ref).hex()
 
@@ -501,7 +504,10 @@ class TestPswThreshold:
         tau = psw_threshold(src, v, box, rp).tau
         assert math.isfinite(tau)
         rng = np.random.default_rng(seed)
-        for perm in (np.arange(src.k)[::-1], rng.permutation(src.k)):
+        # With the unpermuted run, the rotations put every label first once, so
+        # each label's prefixes build the first table by the scatter.
+        rotations = [np.roll(np.arange(src.k), s) for s in range(1, src.k)]
+        for perm in [np.arange(src.k)[::-1], rng.permutation(src.k), *rotations]:
             # New label j is old label perm[j]; each row keeps its true-label score.
             src_p = ScoreTable(src.scores[:, perm], np.argsort(perm)[src.labels])
             box_p = WeightBox(box.lo[perm], box.hi[perm])
